@@ -13,6 +13,7 @@ import (
 	"kleb/internal/isa"
 	"kleb/internal/kernel"
 	"kleb/internal/ktime"
+	"kleb/internal/machine"
 	"kleb/internal/pmu"
 )
 
@@ -20,10 +21,11 @@ import (
 // gate on the scheduler's event-driven fast path. It re-measures the same
 // shapes as the internal/kernel micro-benchmarks (sleeper storm, steady
 // execute loop, timer churn) through the public kernel API, adds the PMU
-// counter feed and the process-table walk, and times a scaled-down
-// table2 end to end. scripts/bench_kernel.sh drives it in CI against the
-// committed BENCH_kernel.json the same way the telemetry-bench 25 ns/op
-// bound is enforced.
+// counter feed, the process-table walk and the cost memo's bracketed
+// measurement, and times a scaled-down table2 end to end.
+// scripts/bench_kernel.sh drives it in CI against the committed
+// BENCH_kernel.json the same way the telemetry-bench 25 ns/op bound is
+// enforced.
 
 // kernelRegressionBoundPct is how much any ns/op figure may exceed its
 // committed baseline before the gate fails. 25% absorbs shared-runner
@@ -62,6 +64,10 @@ type kernelBench struct {
 	// blocks in runs of 64: blends stable replays with the run-boundary
 	// Next calls and memo re-probes a real compiled phase incurs.
 	SteadyPhaseNsPerOp float64 `json:"steady_phase_ns_per_op"`
+	// One canonical memo measurement on Nehalem geometry: the cache
+	// Save/Restore bracket, the lazy footprint pre-warm and the probe
+	// itself, for a block the memo has not seen.
+	MemoMeasureNsPerOp float64 `json:"memo_measure_ns_per_op"`
 	// Wall time of table2 scaled to 3 trials, serial. Gated at twice the
 	// ns/op bound (wall clock on shared runners is noisier than
 	// nanobenchmarks) so the batched-execution win stays locked in.
@@ -270,6 +276,22 @@ func benchSteadyPhase(b *testing.B) {
 	}
 }
 
+// benchMemoMeasure prices the memo's bracketed measure path on Nehalem
+// geometry: op i executes a block with a distinct instruction count, so
+// every op is a memo miss, over a 4 MB footprint the 8 MB LLC pre-warms.
+// One warm-up block sweeps the region twice first, which puts every later
+// block in the steady warmth class where the memo measures canonically.
+func benchMemoMeasure(b *testing.B) {
+	core := cpu.New(machine.Nehalem().CPU, pmu.New(benchEventTable()), ktime.NewRand(8))
+	mem := isa.MemPattern{Base: 0xC000_0000, Footprint: 4 << 20, Stride: 64}
+	core.Execute(isa.Block{Instr: 1 << 20, Loads: 2 * mem.Footprint / mem.Stride, Mem: mem, Priv: isa.User})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.Execute(isa.Block{Instr: 10_000 + uint64(i), Loads: 2_500, Mem: mem, Priv: isa.User})
+	}
+}
+
 // benchCounterFeed prices one AddCounts with the K-LEB monitoring shape
 // active: two programmable counters plus one fixed counter.
 func benchCounterFeed(b *testing.B) {
@@ -403,6 +425,11 @@ func writeKernelBench(path, basePath string, seed uint64) error {
 		return err
 	}
 	bench.SteadyPhaseNsPerOp = float64(phase.NsPerOp())
+	memo, err := runBench("memo-measure", benchMemoMeasure)
+	if err != nil {
+		return err
+	}
+	bench.MemoMeasureNsPerOp = float64(memo.NsPerOp())
 
 	t0 := time.Now() //klebvet:allow walltime -- host-side benchmark harness timing
 	if _, err := experiments.RunOverhead(experiments.OverheadConfig{
@@ -462,6 +489,7 @@ func compareKernelBench(bench kernelBench, basePath string) error {
 		{"proc_table_ns_per_op", bench.ProcTableNsPerOp, base.ProcTableNsPerOp, bound},
 		{"block_execute_ns_per_op", bench.BlockExecuteNsPerOp, base.BlockExecuteNsPerOp, bound},
 		{"steady_phase_ns_per_op", bench.SteadyPhaseNsPerOp, base.SteadyPhaseNsPerOp, bound},
+		{"memo_measure_ns_per_op", bench.MemoMeasureNsPerOp, base.MemoMeasureNsPerOp, bound},
 		// The table2 ratchet: end-to-end wall clock is noisier than a
 		// nanobenchmark, so it gets twice the bound — still tight enough
 		// that losing the batched-execution win (a >4× slowdown) fails.

@@ -83,7 +83,8 @@ func (p *Predictor) FlushHistory() { p.history = 0 }
 func (p *Predictor) SetHistory(h uint64) { p.history = h }
 
 // State is a deep copy of the predictor's mutable state; the backing table
-// slice is recycled across saves (see cache.State for the pattern).
+// slice is recycled across saves, so a long-lived State snapshots without
+// allocating.
 type State struct {
 	table   []uint8
 	history uint64

@@ -10,7 +10,11 @@
 // LLC reference/miss ratios.
 package cache
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -45,6 +49,9 @@ func (c Config) Validate() error {
 	if c.Size%(c.LineSize*uint64(c.Ways)) != 0 {
 		return fmt.Errorf("cache %s: size %d not divisible by line*ways", c.Name, c.Size)
 	}
+	if c.Size/c.LineSize > math.MaxUint32 {
+		return fmt.Errorf("cache %s: more than 2^32 lines", c.Name)
+	}
 	sets := c.Sets()
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache %s: set count %d is not a power of two", c.Name, sets)
@@ -71,16 +78,45 @@ func (s Stats) MissRatio() float64 {
 // Cache is a single set-associative level with true LRU replacement.
 // A line is identified by its tag; age counters implement LRU exactly
 // (small associativities make the O(ways) scan cheap).
+//
+// Every Access stamps its line with the next value of a 64-bit counter.
+// LRU only ever compares the ages of one set's lines, so a line stores its
+// stamp as a 32-bit offset from ageBase; when the offsets would overflow,
+// rebase renumbers each set's ages by rank, which keeps every comparison
+// the same.
 type Cache struct {
 	cfg      Config
 	sets     uint64
 	lineBits uint
 	setMask  uint64
 	tags     []uint64 // sets*ways entries; 0 means invalid
-	ages     []uint64 // LRU stamp per way
+	ages     []uint32 // LRU stamp per way, less ageBase; 0 means invalid
+	ageBase  uint64
 	stamp    uint64
 	stats    Stats
 	gen      uint64 // mutation generation, see Gen
+
+	// Bracket state (see Save). open marks a Save without its Restore yet;
+	// journal is the undo log of every slot write since Save; pending is
+	// the bracket's Prewarm range (n == 0: none) and settled the bitset of
+	// sets it has already been applied to.
+	open    bool
+	journal []undo
+	pending prewarm
+	settled []uint64
+}
+
+// undo is one journal entry: a slot and the tag and age it held before a
+// write inside the bracket.
+type undo struct {
+	tag       uint64
+	slot, age uint32
+}
+
+// prewarm is one lazily applied Prewarm: n consecutive lines starting at
+// line number first, line k stamped stamp0+k+1.
+type prewarm struct {
+	first, n, stamp0 uint64
 }
 
 // New builds a cache from cfg. It panics on invalid geometry: profiles are
@@ -95,7 +131,8 @@ func New(cfg Config) *Cache {
 		sets:    sets,
 		setMask: sets - 1,
 		tags:    make([]uint64, sets*uint64(cfg.Ways)),
-		ages:    make([]uint64, sets*uint64(cfg.Ways)),
+		ages:    make([]uint32, sets*uint64(cfg.Ways)),
+		settled: make([]uint64, (sets+63)/64),
 	}
 	for lb := cfg.LineSize; lb > 1; lb >>= 1 {
 		c.lineBits++
@@ -124,50 +161,136 @@ func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 // interleaved accesses from sibling cores and fall back to measurement.
 func (c *Cache) Gen() uint64 { return c.gen }
 
-// State is a deep copy of one cache's mutable state, captured by Save and
-// applied by Restore. A State value is reusable across Save calls — the
-// backing slices are recycled — so a long-lived probe can snapshot without
-// allocating. The CPU's memo layer brackets its canonical block
-// measurements with a Save/Restore pair to keep them side-effect-free (see
-// internal/cpu/memo.go).
+// State is the part of a cache's mutable state that Save records by value:
+// the LRU stamp, the statistics and the mutation generation. Line contents
+// are not copied; Save opens an undo journal on the cache instead, and
+// Restore replays it, so a bracket costs in proportion to the lines written
+// inside it rather than to the cache size. The CPU's memo layer brackets
+// its canonical block measurements with a Save/Restore pair to keep them
+// side-effect-free (see internal/cpu/memo.go).
+//
+// The bracket's discipline: a cache has at most one open bracket (a nested
+// Save panics), Restore must pair with the Save that opened it, and
+// EvictFraction panics inside a bracket rather than escape the journal.
 type State struct {
-	tags, ages []uint64
-	stamp      uint64
-	stats      Stats
-	gen        uint64
+	stamp uint64
+	stats Stats
+	gen   uint64
 }
 
-// Save captures the cache's complete mutable state into s.
+var (
+	errNestedSave     = errors.New("cache: Save inside an open Save/Restore bracket")
+	errNoBracket      = errors.New("cache: Restore or Prewarm without an open Save/Restore bracket")
+	errEvictInBracket = errors.New("cache: EvictFraction inside an open Save/Restore bracket")
+	errAgeOverflow    = errors.New("cache: more than 2^31 stamps inside one Save/Restore bracket")
+)
+
+// Save records the cache's stamp, statistics and generation into s and
+// opens the undo journal: every slot write until the matching Restore is
+// logged with the tag and age it overwrote.
 func (c *Cache) Save(s *State) {
-	s.tags = append(s.tags[:0], c.tags...) //klebvet:allow hotalloc -- grows only on the first Save into a State; the CPU's long-lived snapshots reuse the backing array on every later probe
-	s.ages = append(s.ages[:0], c.ages...) //klebvet:allow hotalloc -- same recycled backing array as tags above
+	if c.open {
+		panic(errNestedSave)
+	}
+	// Leave the bracket half the 32-bit age range, so it never needs a
+	// rebase the journal could not undo.
+	if c.stamp-c.ageBase > math.MaxUint32/2 {
+		c.rebase()
+	}
 	s.stamp = c.stamp
 	s.stats = c.stats
 	s.gen = c.gen
+	c.open = true
 }
 
-// Restore rewinds the cache to a state captured by Save on the same cache.
+// Restore rewinds the cache to the state Save captured into s: it undoes
+// the journal newest-first, drops any pending Prewarm and closes the
+// bracket.
 func (c *Cache) Restore(s *State) {
-	copy(c.tags, s.tags)
-	copy(c.ages, s.ages)
+	if !c.open {
+		panic(errNoBracket)
+	}
+	for i := len(c.journal) - 1; i >= 0; i-- {
+		u := c.journal[i]
+		c.tags[u.slot] = u.tag
+		c.ages[u.slot] = u.age
+	}
+	c.journal = c.journal[:0]
+	c.pending = prewarm{}
+	c.open = false
 	c.stamp = s.stamp
 	c.stats = s.stats
 	c.gen = s.gen
 }
 
-// Access looks up addr, filling the line on a miss. It returns true on hit.
-func (c *Cache) Access(addr uint64) bool {
-	set, tag := c.index(addr)
+// Prewarm makes the footprint [base, base+fp) resident exactly as the
+// eager walk
+//
+//	for a := base; a < base+fp; a += LineSize { c.Access(a) }
+//
+// would, except that it counts nothing in Stats. It is a no-op when fp
+// exceeds the cache size, and it is only valid inside a Save/Restore
+// bracket. The walk is not performed here: Prewarm reserves the stamps the
+// walk would have used (line k gets stamp0+k+1) and applies the lines of a
+// set the first time a later Access, Flush or Contains reaches that set.
+// LRU state is per set and the walk only ever compares ages within one
+// set, so that first touch finds exactly what the eager walk would have
+// left, and sets nothing touches are never observed before Restore
+// discards the range. One range is pending at a time: a second Prewarm in
+// the same bracket first applies the earlier range to every set.
+func (c *Cache) Prewarm(base, fp uint64) {
+	if !c.open {
+		panic(errNoBracket)
+	}
+	if fp == 0 || fp > c.cfg.Size {
+		return
+	}
+	if c.pending.n != 0 {
+		c.settleAll()
+	}
+	clear(c.settled)
+	n := (fp + c.cfg.LineSize - 1) >> c.lineBits
+	if c.stamp+n-c.ageBase > math.MaxUint32 {
+		c.rebase()
+	}
+	c.pending = prewarm{first: base >> c.lineBits, n: n, stamp0: c.stamp}
+	c.stamp += n
+	c.gen += n
+}
+
+// settle applies the pending Prewarm range to set, once, with the stamps
+// the range reserved.
+func (c *Cache) settle(set uint64) {
+	w, bit := set>>6, uint64(1)<<(set&63)
+	if c.settled[w]&bit != 0 {
+		return
+	}
+	c.settled[w] |= bit
+	p := c.pending
+	// The range's lines are consecutive line numbers, so those in this set
+	// are every sets-th one from the first that maps here.
+	for k := (set - p.first) & c.setMask; k < p.n; k += c.sets {
+		c.fill(set, (p.first+k)|1<<63, p.stamp0+k+1)
+	}
+}
+
+// settleAll applies the pending Prewarm range to every set.
+func (c *Cache) settleAll() {
+	for set := uint64(0); set < c.sets; set++ {
+		c.settle(set)
+	}
+}
+
+// fill looks tag up in set and stamps it with stamp, replacing the LRU way
+// on a miss. It returns true on hit.
+func (c *Cache) fill(set, tag, stamp uint64) bool {
+	age := uint32(stamp - c.ageBase)
 	base := set * uint64(c.cfg.Ways)
-	c.stamp++
-	c.gen++
-	c.stats.Accesses++
 	victim := base
-	oldest := ^uint64(0)
+	oldest := uint32(math.MaxUint32)
 	for i := base; i < base+uint64(c.cfg.Ways); i++ {
 		if c.tags[i] == tag {
-			c.ages[i] = c.stamp
-			c.stats.Hits++
+			c.write(i, tag, age)
 			return true
 		}
 		if c.ages[i] < oldest {
@@ -175,9 +298,36 @@ func (c *Cache) Access(addr uint64) bool {
 			victim = i
 		}
 	}
+	c.write(victim, tag, age)
+	return false
+}
+
+// write sets one slot, journaling the old contents inside a bracket.
+func (c *Cache) write(slot, tag uint64, age uint32) {
+	if c.open {
+		c.journal = append(c.journal, undo{tag: c.tags[slot], slot: uint32(slot), age: c.ages[slot]})
+	}
+	c.tags[slot] = tag
+	c.ages[slot] = age
+}
+
+// Access looks up addr, filling the line on a miss. It returns true on hit.
+func (c *Cache) Access(addr uint64) bool {
+	set, tag := c.index(addr)
+	if c.pending.n != 0 {
+		c.settle(set)
+	}
+	if c.stamp-c.ageBase >= math.MaxUint32 {
+		c.rebase()
+	}
+	c.stamp++
+	c.gen++
+	c.stats.Accesses++
+	if c.fill(set, tag, c.stamp) {
+		c.stats.Hits++
+		return true
+	}
 	c.stats.Misses++
-	c.tags[victim] = tag
-	c.ages[victim] = c.stamp
 	return false
 }
 
@@ -185,6 +335,9 @@ func (c *Cache) Access(addr uint64) bool {
 // state or statistics. Used by tests and by the attack model's probe phase.
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.index(addr)
+	if c.pending.n != 0 {
+		c.settle(set)
+	}
 	base := set * uint64(c.cfg.Ways)
 	for i := base; i < base+uint64(c.cfg.Ways); i++ {
 		if c.tags[i] == tag {
@@ -198,12 +351,14 @@ func (c *Cache) Contains(addr uint64) bool {
 // whether a line was actually evicted.
 func (c *Cache) Flush(addr uint64) bool {
 	set, tag := c.index(addr)
+	if c.pending.n != 0 {
+		c.settle(set)
+	}
 	base := set * uint64(c.cfg.Ways)
 	c.stats.Flushes++
 	for i := base; i < base+uint64(c.cfg.Ways); i++ {
 		if c.tags[i] == tag {
-			c.tags[i] = 0
-			c.ages[i] = 0
+			c.write(i, 0, 0)
 			c.gen++
 			return true
 		}
@@ -214,8 +369,13 @@ func (c *Cache) Flush(addr uint64) bool {
 // EvictFraction invalidates approximately frac of all resident lines,
 // choosing deterministically by position. The kernel uses it to model the
 // cache pollution a context switch or interrupt handler inflicts on the
-// running process's working set.
+// running process's working set. Pollution is never part of a canonical
+// measurement, so it panics inside a Save/Restore bracket instead of
+// writing lines the journal would have to undo.
 func (c *Cache) EvictFraction(frac float64) {
+	if c.open {
+		panic(errEvictInBracket)
+	}
 	if frac <= 0 {
 		return
 	}
@@ -237,8 +397,40 @@ func (c *Cache) EvictFraction(frac float64) {
 	}
 }
 
+// rebase renumbers the ages of each set as 1, 2, … in LRU order (invalid
+// lines keep 0) and moves ageBase so the current stamp sits just above
+// every rank. Valid ages within a set are distinct, so every LRU decision
+// is unchanged. It runs once per 2^31 stamps or so, never inside a bracket.
+func (c *Cache) rebase() {
+	if c.open {
+		panic(errAgeOverflow)
+	}
+	ways := c.cfg.Ways
+	rank := make([]uint32, ways) //klebvet:allow hotalloc -- one small scratch row per rebase, which runs once per 2^31 stamps
+	for base := 0; base < len(c.ages); base += ways {
+		set := c.ages[base : base+ways]
+		for i, a := range set {
+			rank[i] = 0
+			if a == 0 {
+				continue
+			}
+			rank[i] = 1
+			for _, b := range set {
+				if b != 0 && b < a {
+					rank[i]++
+				}
+			}
+		}
+		copy(set, rank)
+	}
+	c.ageBase = c.stamp - uint64(ways)
+}
+
 // Occupancy returns the fraction of lines currently valid.
 func (c *Cache) Occupancy() float64 {
+	if c.pending.n != 0 {
+		c.settleAll()
+	}
 	n := 0
 	for _, t := range c.tags {
 		if t != 0 {

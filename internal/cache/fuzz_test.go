@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // FuzzCacheOps drives a small cache with an arbitrary operation stream and
 // checks structural invariants that must hold for any input: statistics
@@ -61,6 +64,67 @@ func FuzzHierarchyInclusive(f *testing.F) {
 			if h.L1D().Contains(addr) || h.L2().Contains(addr) || h.LLC().Contains(addr) {
 				t.Fatalf("flush left residue (addr %#x)", addr)
 			}
+		}
+	})
+}
+
+// cacheCopy is a deep copy of everything Save/Restore must rewind.
+type cacheCopy struct {
+	tags                []uint64
+	ages                []uint32
+	ageBase, stamp, gen uint64
+	stats               Stats
+}
+
+func deepCopy(c *Cache) cacheCopy {
+	return cacheCopy{
+		tags:    append([]uint64(nil), c.tags...),
+		ages:    append([]uint32(nil), c.ages...),
+		ageBase: c.ageBase,
+		stamp:   c.stamp,
+		gen:     c.gen,
+		stats:   c.stats,
+	}
+}
+
+// FuzzSaveRestore runs an arbitrary mix of Access, Flush, Prewarm and
+// Contains inside a Save…Restore bracket and requires Restore to give back
+// exactly the state a deep copy took before Save. Two brackets run back to
+// back, with the cache changed in between, so a second bracket cannot lean
+// on journal or pre-warm state the first one left behind.
+func FuzzSaveRestore(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 200}, []byte{2, 0, 0, 5, 1, 5, 3, 40, 2, 128, 0, 77})
+	f.Add([]byte("warm"), []byte("prewarm then probe the sets it reserved"))
+	f.Fuzz(func(t *testing.T, warm, ops []byte) {
+		c := New(Config{Name: "fuzz", Size: 4096, LineSize: 64, Ways: 2, LatencyCycles: 1})
+		for _, b := range warm {
+			c.Access(uint64(b) * 40)
+		}
+		for round := 0; round < 2; round++ {
+			want := deepCopy(c)
+			var s State
+			c.Save(&s)
+			for i := 0; i+1 < len(ops); i += 2 {
+				// Unaligned addresses over four cache-fulls of lines.
+				addr := uint64(ops[i+1]) * 72 % 16384
+				switch ops[i] % 4 {
+				case 0:
+					c.Access(addr)
+				case 1:
+					c.Flush(addr)
+				case 2:
+					// 0 to 8160 bytes: empty, partial-line, exactly the
+					// cache size (byte 128) and larger-than-cache ranges.
+					c.Prewarm(addr, uint64(ops[i+1])*32)
+				case 3:
+					c.Contains(addr)
+				}
+			}
+			c.Restore(&s)
+			if got := deepCopy(c); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d: Restore did not rewind the bracket:\n got  %+v\n want %+v", round, got, want)
+			}
+			c.Access(uint64(round+1) * 4096)
 		}
 	})
 }

@@ -117,9 +117,11 @@ type Core struct {
 	// classRng is the reusable class-seeded stream memoizable measurements
 	// draw from (see memo.go's classSeed).
 	classRng *ktime.Rand
-	// snapL1/snapL2/snapLLC/snapTLB are the reusable snapshots that bracket
-	// a memoized measurement so the canonical probe leaves no trace in the
-	// memory-side state (memo.go).
+	// snapL1/snapL2/snapLLC hold each level's stamp, statistics and
+	// generation across the Save/Restore bracket around a memoized
+	// measurement; the levels' own undo journals rewind the lines, so the
+	// canonical probe leaves no trace in the memory-side state (memo.go).
+	// snapTLB is a full copy of the TLB, which is small enough to copy.
 	snapL1, snapL2, snapLLC cache.State
 	snapTLB                 tlbState
 }

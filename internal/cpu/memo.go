@@ -127,17 +127,12 @@ func (c *Core) AdvanceReplays(b isa.Block, extra uint64) {
 
 // preWarm installs the footprint [base, base+fp) into lvl if it fits,
 // making the lines resident for a canonical probe (see execute). Called
-// inside a Save/Restore bracket only, so the insertions never escape.
+// inside a Save/Restore bracket only, so the insertions never escape;
+// cache.Prewarm applies them lazily, set by set, as the probe reaches them.
 //
 //klebvet:hotpath
 func preWarm(lvl *cache.Cache, base, fp uint64) {
-	if fp > lvl.Config().Size {
-		return
-	}
-	line := lvl.Config().LineSize
-	for a := base; a < base+fp; a += line {
-		lvl.Access(a)
-	}
+	lvl.Prewarm(base, fp)
 }
 
 // footprint is the effective memory footprint of b (the declared one, or

@@ -100,7 +100,8 @@ func (t *TLB) flush() {
 func (t *TLB) Misses() uint64 { return t.misses }
 
 // tlbState is a deep copy of the TLB's mutable state; the backing slices
-// are recycled across saves (see cache.State for the pattern).
+// are recycled across saves, so the core's long-lived snapshot copies the
+// few dozen entries per probe without allocating.
 type tlbState struct {
 	tags, ages []uint64
 	stamp      uint64

@@ -4,10 +4,12 @@
 #
 #   bench_kernel.sh          check mode: smoke-run the in-package kernel and
 #                            PMU benchmarks (one iteration each, catching
-#                            bit-rot), then re-measure the fast path and fail
-#                            if any ns/op figure regresses more than the
-#                            bound recorded in the committed BENCH_kernel.json
-#                            (or if the zero-alloc steady state is lost).
+#                            bit-rot), then re-measure the fast path and the
+#                            cost memo's measurement bracket
+#                            (memo_measure_ns_per_op) and fail if any ns/op
+#                            figure regresses more than the bound recorded in
+#                            the committed BENCH_kernel.json (or if the
+#                            zero-alloc steady state is lost).
 #   bench_kernel.sh update   rewrite BENCH_kernel.json with fresh numbers
 #                            from this host (commit the result).
 #
