@@ -21,8 +21,9 @@ import (
 // gate on the scheduler's event-driven fast path. It re-measures the same
 // shapes as the internal/kernel micro-benchmarks (sleeper storm, steady
 // execute loop, timer churn) through the public kernel API, adds the PMU
-// counter feed, the process-table walk and the cost memo's bracketed
-// measurement, and times a scaled-down table2 end to end.
+// counter feed, the process-table walk, the cost memo's bracketed
+// measurement and one cache-hierarchy access, and times a scaled-down
+// table2 end to end.
 // scripts/bench_kernel.sh drives it in CI against the committed
 // BENCH_kernel.json the same way the telemetry-bench 25 ns/op bound is
 // enforced.
@@ -68,6 +69,11 @@ type kernelBench struct {
 	// Save/Restore bracket, the lazy footprint pre-warm and the probe
 	// itself, for a block the memo has not seen.
 	MemoMeasureNsPerOp float64 `json:"memo_measure_ns_per_op"`
+	// One Hierarchy.Access on Nehalem geometry replaying Table II's
+	// init-phase walk, where nearly every access misses all three levels:
+	// the per-level lookup and LRU victim choice the raw model pays per
+	// simulated touch.
+	CacheAccessNsPerOp float64 `json:"cache_access_ns_per_op"`
 	// Wall time of table2 scaled to 3 trials, serial. Gated at twice the
 	// ns/op bound (wall clock on shared runners is noisier than
 	// nanobenchmarks) so the batched-execution win stays locked in.
@@ -292,6 +298,26 @@ func benchMemoMeasure(b *testing.B) {
 	}
 }
 
+// benchCacheAccess prices one Hierarchy.Access on Nehalem geometry with
+// the stream Table II's init phase feeds the caches: its 34.56 MB matmul
+// footprint walked in the 2 KB steps the sampled walk takes, so nearly
+// every access misses L1D, L2 and the LLC. One warm-up sweep first fills
+// every set the walk reaches, which is the steady state a trial runs in.
+func benchCacheAccess(b *testing.B) {
+	const base, step, footprint = 0x2_0000_0000, 2 << 10, 3 * 1200 * 1200 * 8
+	h := cache.NewHierarchy(machine.Nehalem().CPU.Hierarchy)
+	for cur := uint64(0); cur < footprint; cur += step {
+		h.Access(base + cur)
+	}
+	var cur uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Access(base + cur)
+		cur = (cur + step) % footprint
+	}
+}
+
 // benchCounterFeed prices one AddCounts with the K-LEB monitoring shape
 // active: two programmable counters plus one fixed counter.
 func benchCounterFeed(b *testing.B) {
@@ -430,6 +456,12 @@ func writeKernelBench(path, basePath string, seed uint64) error {
 		return err
 	}
 	bench.MemoMeasureNsPerOp = float64(memo.NsPerOp())
+	access, err := runBench("cache-access", benchCacheAccess)
+	if err != nil {
+		return err
+	}
+	// Tens of nanoseconds: keep the fractional part, as for block-execute.
+	bench.CacheAccessNsPerOp = float64(access.T.Nanoseconds()) / float64(access.N)
 
 	t0 := time.Now() //klebvet:allow walltime -- host-side benchmark harness timing
 	if _, err := experiments.RunOverhead(experiments.OverheadConfig{
@@ -490,6 +522,7 @@ func compareKernelBench(bench kernelBench, basePath string) error {
 		{"block_execute_ns_per_op", bench.BlockExecuteNsPerOp, base.BlockExecuteNsPerOp, bound},
 		{"steady_phase_ns_per_op", bench.SteadyPhaseNsPerOp, base.SteadyPhaseNsPerOp, bound},
 		{"memo_measure_ns_per_op", bench.MemoMeasureNsPerOp, base.MemoMeasureNsPerOp, bound},
+		{"cache_access_ns_per_op", bench.CacheAccessNsPerOp, base.CacheAccessNsPerOp, bound},
 		// The table2 ratchet: end-to-end wall clock is noisier than a
 		// nanobenchmark, so it gets twice the bound — still tight enough
 		// that losing the batched-execution win (a >4× slowdown) fails.

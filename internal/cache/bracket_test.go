@@ -2,7 +2,6 @@ package cache
 
 import (
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 )
@@ -42,8 +41,8 @@ func mustPanic(t *testing.T, what string, want error, fn func()) {
 // TestPrewarmMatchesEager checks the lazy Prewarm against the eager walk:
 // after the same random stream of accesses and flushes, both caches must
 // report identical hits, misses and evictions, the same residency for every
-// line, the same stamp and generation, and — once every set has been
-// reached — byte-identical tags and ages. Restore must then undo both.
+// line, the same generation, and — once every set has been reached —
+// byte-identical tags and recency orders. Restore must then undo both.
 func TestPrewarmMatchesEager(t *testing.T) {
 	cfg := Config{Name: "pw", Size: 8192, LineSize: 64, Ways: 4, LatencyCycles: 1}
 	const span = 4 * 8192 // addresses drawn from four cache-fulls
@@ -74,8 +73,8 @@ func TestPrewarmMatchesEager(t *testing.T) {
 			eager.Save(&es)
 			lazy.Prewarm(tc.base, tc.fp)
 			eagerPrewarm(eager, tc.base, tc.fp)
-			if lazy.stamp != eager.stamp || lazy.gen != eager.gen {
-				t.Fatalf("stamp/gen after prewarm: lazy %d/%d, eager %d/%d", lazy.stamp, lazy.gen, eager.stamp, eager.gen)
+			if lazy.gen != eager.gen {
+				t.Fatalf("gen after prewarm: lazy %d, eager %d", lazy.gen, eager.gen)
 			}
 			r := lcg(11)
 			for i := 0; i < 300; i++ {
@@ -95,11 +94,11 @@ func TestPrewarmMatchesEager(t *testing.T) {
 					t.Fatalf("Contains(%#x): lazy %v eager %v", a, l, e)
 				}
 			}
-			if !reflect.DeepEqual(lazy.tags, eager.tags) || !reflect.DeepEqual(lazy.ages, eager.ages) {
-				t.Fatal("tags/ages differ once every set is settled")
+			if !reflect.DeepEqual(lazy.tags, eager.tags) || !reflect.DeepEqual(lazy.lru, eager.lru) {
+				t.Fatal("tags/recency orders differ once every set is settled")
 			}
-			if lazy.stamp != eager.stamp || lazy.gen != eager.gen {
-				t.Fatalf("stamp/gen: lazy %d/%d, eager %d/%d", lazy.stamp, lazy.gen, eager.stamp, eager.gen)
+			if lazy.gen != eager.gen {
+				t.Fatalf("gen: lazy %d, eager %d", lazy.gen, eager.gen)
 			}
 			lazy.Restore(&ls)
 			eager.Restore(&es)
@@ -174,8 +173,8 @@ func TestPrewarmSharedLLC(t *testing.T) {
 				t.Fatalf("%s Contains(%#x) differs", lc[i].Config().Name, a)
 			}
 		}
-		if !reflect.DeepEqual(lc[i].tags, ec[i].tags) || !reflect.DeepEqual(lc[i].ages, ec[i].ages) {
-			t.Fatalf("cache %d (%s): tags/ages differ once settled", i, lc[i].Config().Name)
+		if !reflect.DeepEqual(lc[i].tags, ec[i].tags) || !reflect.DeepEqual(lc[i].lru, ec[i].lru) {
+			t.Fatalf("cache %d (%s): tags/recency orders differ once settled", i, lc[i].Config().Name)
 		}
 	}
 	for i, c := range levels(lazy) {
@@ -206,55 +205,4 @@ func TestBracketDiscipline(t *testing.T) {
 	mustPanic(t, "Pollute reaching a bracketed LLC", errEvictInBracket, func() { h.Pollute(0, 0, 0.5) })
 	c.Restore(&s)
 	c.EvictFraction(0.5) // legal again once the bracket is closed
-}
-
-// TestRebaseKeepsLRU squeezes a cache's 32-bit age headroom over and over
-// so that Access and Save both have to rebase, and requires it to behave
-// exactly like a cache that never rebases.
-func TestRebaseKeepsLRU(t *testing.T) {
-	cfg := Config{Name: "rb", Size: 8192, LineSize: 64, Ways: 4, LatencyCycles: 1}
-	const span = 4 * 8192
-	ref, c := New(cfg), New(cfg)
-	// Moving ageBase down keeps every set's age order and leaves only 300
-	// stamps before the offsets overflow.
-	squeeze := func() { c.ageBase = c.stamp - (math.MaxUint32 - 300) }
-	var rs, cs State
-	r := lcg(13)
-	for i := 0; i < 20000; i++ {
-		if i%1000 == 0 {
-			squeeze()
-		}
-		a := r.next(span)
-		switch r.next(16) {
-		case 0:
-			if l, e := c.Flush(a), ref.Flush(a); l != e {
-				t.Fatalf("op %d: Flush(%#x) %v, reference %v", i, a, l, e)
-			}
-		case 1:
-			ref.Save(&rs)
-			c.Save(&cs)
-			ref.Prewarm(a, 2048)
-			c.Prewarm(a, 2048)
-			for j := 0; j < 20; j++ {
-				b := r.next(span)
-				if l, e := c.Access(b), ref.Access(b); l != e {
-					t.Fatalf("op %d.%d: bracketed Access(%#x) hit %v, reference %v", i, j, b, l, e)
-				}
-			}
-			ref.Restore(&rs)
-			c.Restore(&cs)
-		default:
-			if l, e := c.Access(a), ref.Access(a); l != e {
-				t.Fatalf("op %d: Access(%#x) hit %v, reference %v", i, a, l, e)
-			}
-		}
-	}
-	for a := uint64(0); a < span; a += cfg.LineSize {
-		if c.Contains(a) != ref.Contains(a) {
-			t.Fatalf("Contains(%#x) differs from the reference", a)
-		}
-	}
-	if c.stamp-c.ageBase > 2000 {
-		t.Fatalf("no rebase after the last squeeze: %d stamps above ageBase", c.stamp-c.ageBase)
-	}
 }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Config describes one cache level.
@@ -43,6 +44,9 @@ func (c Config) Validate() error {
 	if c.Size == 0 || c.LineSize == 0 || c.Ways <= 0 {
 		return fmt.Errorf("cache %s: size, line size and ways must be positive", c.Name)
 	}
+	if c.Ways > maxWays {
+		return fmt.Errorf("cache %s: %d ways, at most %d supported", c.Name, c.Ways, maxWays)
+	}
 	if c.LineSize&(c.LineSize-1) != 0 {
 		return fmt.Errorf("cache %s: line size %d is not a power of two", c.Name, c.LineSize)
 	}
@@ -58,6 +62,10 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// maxWays is the largest associativity a set's recency order can hold: 16
+// 4-bit way indices fill its 64-bit word.
+const maxWays = 16
 
 // Stats accumulates per-level access statistics.
 type Stats struct {
@@ -76,23 +84,26 @@ func (s Stats) MissRatio() float64 {
 }
 
 // Cache is a single set-associative level with true LRU replacement.
-// A line is identified by its tag; age counters implement LRU exactly
-// (small associativities make the O(ways) scan cheap).
+// A line is identified by its tag. Each set keeps its ways in recency
+// order, packed as 4-bit way indices into one 64-bit word with the least
+// recently used way in the low nibble, so an access updates LRU in O(1)
+// with a few branch-free word operations (see promote).
 //
-// Every Access stamps its line with the next value of a 64-bit counter.
-// LRU only ever compares the ages of one set's lines, so a line stores its
-// stamp as a 32-bit offset from ageBase; when the offsets would overflow,
-// rebase renumbers each set's ages by rank, which keeps every comparison
-// the same.
+// A miss fills the lowest-numbered invalid way, or the least recently used
+// way when every way is valid. Invalidation (Flush, EvictFraction) clears
+// only the tag and leaves the order alone. That is still exact LRU: the
+// order is not consulted while a set has an invalid way, and once every
+// way is valid again each one has been written since it was invalidated,
+// each write moved it to the top, so the order is that of the last writes.
 type Cache struct {
 	cfg      Config
 	sets     uint64
+	ways     uint64
+	mru      uint // bit offset of the most recently used way's nibble
 	lineBits uint
 	setMask  uint64
 	tags     []uint64 // sets*ways entries; 0 means invalid
-	ages     []uint32 // LRU stamp per way, less ageBase; 0 means invalid
-	ageBase  uint64
-	stamp    uint64
+	lru      []uint64 // per set: way indices in recency order, LRU lowest
 	stats    Stats
 	gen      uint64 // mutation generation, see Gen
 
@@ -106,17 +117,19 @@ type Cache struct {
 	settled []uint64
 }
 
-// undo is one journal entry: a slot and the tag and age it held before a
-// write inside the bracket.
+// undo is one journal entry: a slot, its set, and the slot's tag and the
+// set's recency order before a write inside the bracket. The set follows
+// from the slot, but storing it spares Restore a division per entry and
+// fits in what would otherwise be padding.
 type undo struct {
-	tag       uint64
-	slot, age uint32
+	tag, order uint64
+	slot, set  uint32
 }
 
 // prewarm is one lazily applied Prewarm: n consecutive lines starting at
-// line number first, line k stamped stamp0+k+1.
+// line number first.
 type prewarm struct {
-	first, n, stamp0 uint64
+	first, n uint64
 }
 
 // New builds a cache from cfg. It panics on invalid geometry: profiles are
@@ -126,16 +139,26 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	sets := cfg.Sets()
+	ways := uint64(cfg.Ways)
 	c := &Cache{
 		cfg:     cfg,
 		sets:    sets,
+		ways:    ways,
+		mru:     uint(4 * (ways - 1)),
 		setMask: sets - 1,
-		tags:    make([]uint64, sets*uint64(cfg.Ways)),
-		ages:    make([]uint32, sets*uint64(cfg.Ways)),
+		tags:    make([]uint64, sets*ways),
+		lru:     make([]uint64, sets),
 		settled: make([]uint64, (sets+63)/64),
 	}
 	for lb := cfg.LineSize; lb > 1; lb >>= 1 {
 		c.lineBits++
+	}
+	var order uint64
+	for w := uint64(0); w < ways; w++ {
+		order |= w << (4 * w)
+	}
+	for i := range c.lru {
+		c.lru[i] = order
 	}
 	return c
 }
@@ -162,18 +185,17 @@ func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 func (c *Cache) Gen() uint64 { return c.gen }
 
 // State is the part of a cache's mutable state that Save records by value:
-// the LRU stamp, the statistics and the mutation generation. Line contents
-// are not copied; Save opens an undo journal on the cache instead, and
-// Restore replays it, so a bracket costs in proportion to the lines written
-// inside it rather than to the cache size. The CPU's memo layer brackets
-// its canonical block measurements with a Save/Restore pair to keep them
-// side-effect-free (see internal/cpu/memo.go).
+// the statistics and the mutation generation. Line contents and recency
+// orders are not copied; Save opens an undo journal on the cache instead,
+// and Restore replays it, so a bracket costs in proportion to the lines
+// written inside it rather than to the cache size. The CPU's memo layer
+// brackets its canonical block measurements with a Save/Restore pair to
+// keep them side-effect-free (see internal/cpu/memo.go).
 //
 // The bracket's discipline: a cache has at most one open bracket (a nested
 // Save panics), Restore must pair with the Save that opened it, and
 // EvictFraction panics inside a bracket rather than escape the journal.
 type State struct {
-	stamp uint64
 	stats Stats
 	gen   uint64
 }
@@ -182,22 +204,15 @@ var (
 	errNestedSave     = errors.New("cache: Save inside an open Save/Restore bracket")
 	errNoBracket      = errors.New("cache: Restore or Prewarm without an open Save/Restore bracket")
 	errEvictInBracket = errors.New("cache: EvictFraction inside an open Save/Restore bracket")
-	errAgeOverflow    = errors.New("cache: more than 2^31 stamps inside one Save/Restore bracket")
 )
 
-// Save records the cache's stamp, statistics and generation into s and
-// opens the undo journal: every slot write until the matching Restore is
-// logged with the tag and age it overwrote.
+// Save records the cache's statistics and generation into s and opens the
+// undo journal: every slot write until the matching Restore is logged with
+// the tag and recency order it overwrote.
 func (c *Cache) Save(s *State) {
 	if c.open {
 		panic(errNestedSave)
 	}
-	// Leave the bracket half the 32-bit age range, so it never needs a
-	// rebase the journal could not undo.
-	if c.stamp-c.ageBase > math.MaxUint32/2 {
-		c.rebase()
-	}
-	s.stamp = c.stamp
 	s.stats = c.stats
 	s.gen = c.gen
 	c.open = true
@@ -213,12 +228,11 @@ func (c *Cache) Restore(s *State) {
 	for i := len(c.journal) - 1; i >= 0; i-- {
 		u := c.journal[i]
 		c.tags[u.slot] = u.tag
-		c.ages[u.slot] = u.age
+		c.lru[u.set] = u.order
 	}
 	c.journal = c.journal[:0]
 	c.pending = prewarm{}
 	c.open = false
-	c.stamp = s.stamp
 	c.stats = s.stats
 	c.gen = s.gen
 }
@@ -230,14 +244,13 @@ func (c *Cache) Restore(s *State) {
 //
 // would, except that it counts nothing in Stats. It is a no-op when fp
 // exceeds the cache size, and it is only valid inside a Save/Restore
-// bracket. The walk is not performed here: Prewarm reserves the stamps the
-// walk would have used (line k gets stamp0+k+1) and applies the lines of a
-// set the first time a later Access, Flush or Contains reaches that set.
-// LRU state is per set and the walk only ever compares ages within one
-// set, so that first touch finds exactly what the eager walk would have
-// left, and sets nothing touches are never observed before Restore
-// discards the range. One range is pending at a time: a second Prewarm in
-// the same bracket first applies the earlier range to every set.
+// bracket. The walk is not performed here: Prewarm records the range and
+// applies a set's lines, in walk order, the first time a later Access,
+// Flush or Contains reaches that set. LRU state is per set, so that first
+// touch finds exactly what the eager walk would have left, and sets
+// nothing touches are never observed before Restore discards the range.
+// One range is pending at a time: a second Prewarm in the same bracket
+// first applies the earlier range to every set.
 func (c *Cache) Prewarm(base, fp uint64) {
 	if !c.open {
 		panic(errNoBracket)
@@ -250,16 +263,11 @@ func (c *Cache) Prewarm(base, fp uint64) {
 	}
 	clear(c.settled)
 	n := (fp + c.cfg.LineSize - 1) >> c.lineBits
-	if c.stamp+n-c.ageBase > math.MaxUint32 {
-		c.rebase()
-	}
-	c.pending = prewarm{first: base >> c.lineBits, n: n, stamp0: c.stamp}
-	c.stamp += n
+	c.pending = prewarm{first: base >> c.lineBits, n: n}
 	c.gen += n
 }
 
-// settle applies the pending Prewarm range to set, once, with the stamps
-// the range reserved.
+// settle applies the pending Prewarm range to set, once.
 func (c *Cache) settle(set uint64) {
 	w, bit := set>>6, uint64(1)<<(set&63)
 	if c.settled[w]&bit != 0 {
@@ -270,7 +278,7 @@ func (c *Cache) settle(set uint64) {
 	// The range's lines are consecutive line numbers, so those in this set
 	// are every sets-th one from the first that maps here.
 	for k := (set - p.first) & c.setMask; k < p.n; k += c.sets {
-		c.fill(set, (p.first+k)|1<<63, p.stamp0+k+1)
+		c.fill(set, (p.first+k)|1<<63)
 	}
 }
 
@@ -281,34 +289,62 @@ func (c *Cache) settleAll() {
 	}
 }
 
-// fill looks tag up in set and stamps it with stamp, replacing the LRU way
-// on a miss. It returns true on hit.
-func (c *Cache) fill(set, tag, stamp uint64) bool {
-	age := uint32(stamp - c.ageBase)
-	base := set * uint64(c.cfg.Ways)
-	victim := base
-	oldest := uint32(math.MaxUint32)
-	for i := base; i < base+uint64(c.cfg.Ways); i++ {
-		if c.tags[i] == tag {
-			c.write(i, tag, age)
+// fill looks tag up in set and makes it the set's most recently used line,
+// replacing the lowest-numbered invalid way on a miss, or the least
+// recently used one when every way is valid. It returns true on hit.
+func (c *Cache) fill(set, tag uint64) bool {
+	base := set * c.ways
+	row := c.tags[base : base+c.ways]
+	free := c.ways
+	// Scanning down, the last invalid way seen is the lowest-numbered one,
+	// so noting it is one conditional move with no second test.
+	for i := len(row) - 1; i >= 0; i-- {
+		t := row[i]
+		if t == tag {
+			c.write(set, uint64(i), tag)
 			return true
 		}
-		if c.ages[i] < oldest {
-			oldest = c.ages[i]
-			victim = i
+		if t == 0 {
+			free = uint64(i)
 		}
 	}
-	c.write(victim, tag, age)
+	if free == c.ways {
+		free = c.lru[set] & 0xf
+	}
+	c.write(set, free, tag)
 	return false
 }
 
-// write sets one slot, journaling the old contents inside a bracket.
-func (c *Cache) write(slot, tag uint64, age uint32) {
+// write stores tag in one way of set and moves that way to the top of the
+// set's recency order, journaling the old contents inside a bracket.
+func (c *Cache) write(set, way, tag uint64) {
+	slot := set*c.ways + way
 	if c.open {
-		c.journal = append(c.journal, undo{tag: c.tags[slot], slot: uint32(slot), age: c.ages[slot]})
+		c.log(set, slot)
 	}
 	c.tags[slot] = tag
-	c.ages[slot] = age
+	c.lru[set] = promote(c.lru[set], way, c.mru)
+}
+
+// log journals slot's tag and its set's recency order.
+func (c *Cache) log(set, slot uint64) {
+	c.journal = append(c.journal, undo{tag: c.tags[slot], order: c.lru[set], slot: uint32(slot), set: uint32(set)})
+}
+
+// nibbles has a 1 in every nibble: multiplying a way index by it copies
+// the index into all sixteen nibbles of a word.
+const nibbles = 0x1111_1111_1111_1111
+
+// promote returns the recency order o with way moved to the top nibble (bit
+// offset mru) and the ways that were more recent shifted down one place.
+// It has no branches: XOR with way copied into every nibble zeroes way's
+// own nibble, and subtracting nibbles flags the lowest zero nibble exactly
+// (unused nibbles above the set's ways are zero too, but lie higher). o
+// must hold each of the set's ways once, with any unused nibbles zero.
+func promote(o, way uint64, mru uint) uint64 {
+	x := o ^ way*nibbles
+	s := uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) &^ 3
+	return o&(1<<s-1) | o>>(s+4)<<s | way<<mru
 }
 
 // Access looks up addr, filling the line on a miss. It returns true on hit.
@@ -317,13 +353,9 @@ func (c *Cache) Access(addr uint64) bool {
 	if c.pending.n != 0 {
 		c.settle(set)
 	}
-	if c.stamp-c.ageBase >= math.MaxUint32 {
-		c.rebase()
-	}
-	c.stamp++
 	c.gen++
 	c.stats.Accesses++
-	if c.fill(set, tag, c.stamp) {
+	if c.fill(set, tag) {
 		c.stats.Hits++
 		return true
 	}
@@ -338,9 +370,9 @@ func (c *Cache) Contains(addr uint64) bool {
 	if c.pending.n != 0 {
 		c.settle(set)
 	}
-	base := set * uint64(c.cfg.Ways)
-	for i := base; i < base+uint64(c.cfg.Ways); i++ {
-		if c.tags[i] == tag {
+	base := set * c.ways
+	for _, t := range c.tags[base : base+c.ways] {
+		if t == tag {
 			return true
 		}
 	}
@@ -348,17 +380,21 @@ func (c *Cache) Contains(addr uint64) bool {
 }
 
 // Flush evicts addr's line if present (CLFLUSH semantics) and returns
-// whether a line was actually evicted.
+// whether a line was actually evicted. It clears the tag only; the way
+// keeps its place in the recency order (see Cache).
 func (c *Cache) Flush(addr uint64) bool {
 	set, tag := c.index(addr)
 	if c.pending.n != 0 {
 		c.settle(set)
 	}
-	base := set * uint64(c.cfg.Ways)
+	base := set * c.ways
 	c.stats.Flushes++
-	for i := base; i < base+uint64(c.cfg.Ways); i++ {
+	for i := base; i < base+c.ways; i++ {
 		if c.tags[i] == tag {
-			c.write(i, 0, 0)
+			if c.open {
+				c.log(set, i)
+			}
+			c.tags[i] = 0
 			c.gen++
 			return true
 		}
@@ -367,63 +403,34 @@ func (c *Cache) Flush(addr uint64) bool {
 }
 
 // EvictFraction invalidates approximately frac of all resident lines,
-// choosing deterministically by position. The kernel uses it to model the
-// cache pollution a context switch or interrupt handler inflicts on the
-// running process's working set. Pollution is never part of a canonical
-// measurement, so it panics inside a Save/Restore bracket instead of
-// writing lines the journal would have to undo.
+// choosing deterministically by position: every int(1/frac)-th slot from
+// slot 0, so a fraction too small to reach a second slot evicts slot 0
+// alone. A NaN or non-positive frac evicts nothing. The kernel uses it to
+// model the cache pollution a context switch or interrupt handler inflicts
+// on the running process's working set. Pollution is never part of a
+// canonical measurement, so it panics inside a Save/Restore bracket
+// instead of writing lines the journal would have to undo.
 func (c *Cache) EvictFraction(frac float64) {
 	if c.open {
 		panic(errEvictInBracket)
 	}
-	if frac <= 0 {
+	if !(frac > 0) {
 		return
 	}
 	c.gen++
 	if frac >= 1 {
-		for i := range c.tags {
-			c.tags[i] = 0
-			c.ages[i] = 0
-		}
+		clear(c.tags)
 		return
 	}
-	step := int(1 / frac)
-	if step < 1 {
-		step = 1
+	// 1/frac exceeds every int once frac is tiny; any step of at least
+	// len(tags) means slot 0 alone.
+	step := len(c.tags)
+	if inv := 1 / frac; inv < float64(step) {
+		step = int(inv)
 	}
 	for i := 0; i < len(c.tags); i += step {
 		c.tags[i] = 0
-		c.ages[i] = 0
 	}
-}
-
-// rebase renumbers the ages of each set as 1, 2, … in LRU order (invalid
-// lines keep 0) and moves ageBase so the current stamp sits just above
-// every rank. Valid ages within a set are distinct, so every LRU decision
-// is unchanged. It runs once per 2^31 stamps or so, never inside a bracket.
-func (c *Cache) rebase() {
-	if c.open {
-		panic(errAgeOverflow)
-	}
-	ways := c.cfg.Ways
-	rank := make([]uint32, ways) //klebvet:allow hotalloc -- one small scratch row per rebase, which runs once per 2^31 stamps
-	for base := 0; base < len(c.ages); base += ways {
-		set := c.ages[base : base+ways]
-		for i, a := range set {
-			rank[i] = 0
-			if a == 0 {
-				continue
-			}
-			rank[i] = 1
-			for _, b := range set {
-				if b != 0 && b < a {
-					rank[i]++
-				}
-			}
-		}
-		copy(set, rank)
-	}
-	c.ageBase = c.stamp - uint64(ways)
 }
 
 // Occupancy returns the fraction of lines currently valid.

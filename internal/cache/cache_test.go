@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -20,6 +21,8 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "odd-line", Size: 4096, LineSize: 48, Ways: 2},
 		{Name: "indivisible", Size: 4000, LineSize: 64, Ways: 2},
 		{Name: "non-pow2-sets", Size: 64 * 3 * 64, LineSize: 64, Ways: 64},
+		{Name: "non-pow2-sets-16-way", Size: 64 * 3 * 16, LineSize: 64, Ways: 16},
+		{Name: "too-many-ways", Size: 64 * 2 * 32, LineSize: 64, Ways: 32},
 	}
 	for _, c := range cases {
 		if err := c.Validate(); err == nil {
@@ -129,6 +132,31 @@ func TestEvictFraction(t *testing.T) {
 	}
 	c.EvictFraction(0) // no-op
 	c.EvictFraction(-1)
+}
+
+// TestEvictFractionTinyOrNaN pins the edge fractions: one too small for a
+// second slot (1/frac overflows an int) evicts slot 0 alone, and NaN, like
+// a non-positive fraction, evicts nothing and leaves Gen alone.
+func TestEvictFractionTinyOrNaN(t *testing.T) {
+	c := New(smallConfig())
+	for i := uint64(0); i < 64; i++ {
+		c.Access(i * 64)
+	}
+	gen := c.Gen()
+	c.EvictFraction(math.NaN())
+	if occ := c.Occupancy(); occ != 1 || c.Gen() != gen {
+		t.Errorf("EvictFraction(NaN): occupancy %f, gen %d → %d; want a no-op", occ, gen, c.Gen())
+	}
+	for _, frac := range []float64{1e-300, 1.0 / 64, 1.0 / 100} {
+		c.Access(0)
+		c.EvictFraction(frac)
+		if c.Contains(0) {
+			t.Errorf("EvictFraction(%g) kept slot 0's line", frac)
+		}
+		if occ := c.Occupancy(); occ != 63.0/64 {
+			t.Errorf("EvictFraction(%g): occupancy %f, want only slot 0 evicted (%f)", frac, occ, 63.0/64)
+		}
+	}
 }
 
 func TestResetStats(t *testing.T) {

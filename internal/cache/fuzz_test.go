@@ -70,20 +70,17 @@ func FuzzHierarchyInclusive(f *testing.F) {
 
 // cacheCopy is a deep copy of everything Save/Restore must rewind.
 type cacheCopy struct {
-	tags                []uint64
-	ages                []uint32
-	ageBase, stamp, gen uint64
-	stats               Stats
+	tags, lru []uint64
+	gen       uint64
+	stats     Stats
 }
 
 func deepCopy(c *Cache) cacheCopy {
 	return cacheCopy{
-		tags:    append([]uint64(nil), c.tags...),
-		ages:    append([]uint32(nil), c.ages...),
-		ageBase: c.ageBase,
-		stamp:   c.stamp,
-		gen:     c.gen,
-		stats:   c.stats,
+		tags:  append([]uint64(nil), c.tags...),
+		lru:   append([]uint64(nil), c.lru...),
+		gen:   c.gen,
+		stats: c.stats,
 	}
 }
 

@@ -117,9 +117,9 @@ type Core struct {
 	// classRng is the reusable class-seeded stream memoizable measurements
 	// draw from (see memo.go's classSeed).
 	classRng *ktime.Rand
-	// snapL1/snapL2/snapLLC hold each level's stamp, statistics and
-	// generation across the Save/Restore bracket around a memoized
-	// measurement; the levels' own undo journals rewind the lines, so the
+	// snapL1/snapL2/snapLLC hold each level's statistics and generation
+	// across the Save/Restore bracket around a memoized measurement; the
+	// levels' own undo journals rewind the lines and recency orders, so the
 	// canonical probe leaves no trace in the memory-side state (memo.go).
 	// snapTLB is a full copy of the TLB, which is small enough to copy.
 	snapL1, snapL2, snapLLC cache.State
@@ -383,6 +383,7 @@ func (c *Core) simulateMemory(b isa.Block, counts *isa.Counts) (uint64, uint64) 
 		// cold and miss counts inflate).
 		walkStep = (walkStep + lineSize - 1) / lineSize * lineSize
 	}
+	cur := c.cursors[pat.Base]
 	for i := uint64(0); i < sim; i++ {
 		b := 0
 		if i >= half && half > 0 {
@@ -393,10 +394,9 @@ func (c *Core) simulateMemory(b isa.Block, counts *isa.Counts) (uint64, uint64) 
 		if random {
 			addr = pat.Base + c.rng.Uint64n(pat.Footprint)&^7
 		} else {
-			cur := c.cursors[pat.Base]
-			c.cursors[pat.Base] = (cur + walkStep) % pat.Footprint
-			sweptBytes += walkStep
 			addr = pat.Base + cur
+			cur = (cur + walkStep) % pat.Footprint
+			sweptBytes += walkStep
 		}
 		r := c.caches.Access(addr)
 		if !r.L1Hit && !r.L2Hit && !r.LLCHit && prefetchable && !random {
@@ -424,6 +424,9 @@ func (c *Core) simulateMemory(b isa.Block, counts *isa.Counts) (uint64, uint64) 
 			}
 		}
 	}
+	// The map is only ever indexed, never ranged, so storing an unmoved
+	// cursor for a region with no walk touches is unobservable.
+	c.cursors[pat.Base] = cur
 	rest := touches - sim
 	steady := h[1]
 	if steady.n == 0 {

@@ -52,6 +52,7 @@ type Kernel struct {
 	clock *ktime.Clock
 	rng   *ktime.Rand
 	core  *cpu.Core
+	freq  ktime.Freq // core.Config().Freq, read once: Config copies the whole struct
 	costs CostModel
 	opts  Options
 
@@ -121,6 +122,7 @@ func New(core *cpu.Core, costs CostModel, rng *ktime.Rand, opts Options) *Kernel
 		clock:   ktime.NewClock(),
 		rng:     rng,
 		core:    core,
+		freq:    core.Config().Freq,
 		costs:   costs,
 		opts:    opts,
 		procs:   make(map[PID]*Process),
@@ -282,7 +284,7 @@ func (k *Kernel) ChargeKernel(d ktime.Duration) {
 	if k.current != nil {
 		k.current.kernTime += d
 	}
-	k.core.PMU().AddCounts(kernelCounts(k.core.Config().Freq, d), isa.Kernel)
+	k.core.PMU().AddCounts(kernelCounts(k.freq, d), isa.Kernel)
 }
 
 // kernelCounts synthesizes the event activity of d worth of kernel-mode
@@ -586,7 +588,7 @@ func (k *Kernel) startSyscall(p *Process, name string, fn SyscallFn) {
 	}
 	k.tel.SyscallEnter(k.clock.Now(), name, int32(p.pid))
 	entry := cpu.Costed{
-		Counts: kernelCounts(k.core.Config().Freq, k.costs.SyscallEntry),
+		Counts: kernelCounts(k.freq, k.costs.SyscallEntry),
 		Time:   k.rng.Jitter(k.costs.SyscallEntry, k.costs.NoiseRel),
 		Priv:   isa.Kernel,
 	}
@@ -596,7 +598,7 @@ func (k *Kernel) startSyscall(p *Process, name string, fn SyscallFn) {
 		onDone: func(k *Kernel, p *Process) {
 			p.SyscallResult = fn(k, p)
 			exit := cpu.Costed{
-				Counts: kernelCounts(k.core.Config().Freq, k.costs.SyscallExit),
+				Counts: kernelCounts(k.freq, k.costs.SyscallExit),
 				Time:   k.rng.Jitter(k.costs.SyscallExit, k.costs.NoiseRel),
 				Priv:   isa.Kernel,
 			}

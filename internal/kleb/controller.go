@@ -1,9 +1,9 @@
 package kleb
 
 import (
-	"bytes"
 	"fmt"
 	"io"
+	"strconv"
 
 	"kleb/internal/fault"
 	"kleb/internal/isa"
@@ -98,6 +98,7 @@ type Controller struct {
 
 	state       int
 	pending     []monitor.Sample // drained but not yet logged
+	logBuf      []byte           // writeOp's CSV rows, reused across writes
 	wroteHeader bool
 	done        bool
 	finishing   bool // module reported Done; draining the tail
@@ -340,32 +341,34 @@ func (c *Controller) logOp(k *kernel.Kernel, n int) kernel.Op {
 func (c *Controller) writeOp(n int) kernel.Op {
 	return kernel.OpSyscall{Name: "write", Fn: func(k *kernel.Kernel, p *kernel.Process) any {
 		k.ChargeKernel(350 * ktime.Microsecond) // journal + page-cache flush
-		var buf bytes.Buffer
+		buf := c.logBuf[:0]
 		if !c.wroteHeader {
 			c.wroteHeader = true
-			buf.WriteString("time_us")
+			buf = append(buf, "time_us"...)
 			for _, ev := range c.Cfg.Events {
-				buf.WriteByte(',')
-				buf.WriteString(ev.String())
+				buf = append(buf, ',')
+				buf = append(buf, ev.String()...)
 			}
-			buf.WriteByte('\n')
+			buf = append(buf, '\n')
 		}
 		for _, s := range c.pending {
-			fmt.Fprintf(&buf, "%.1f", float64(s.Time)/1000)
+			buf = strconv.AppendFloat(buf, float64(s.Time)/1000, 'f', 1, 64)
 			for i := range c.Cfg.Events {
 				var v uint64
 				if i < len(s.Deltas) {
 					v = s.Deltas[i]
 				}
-				fmt.Fprintf(&buf, ",%d", v)
+				buf = append(buf, ',')
+				buf = strconv.AppendUint(buf, v, 10)
 			}
-			buf.WriteByte('\n')
+			buf = append(buf, '\n')
 		}
-		if err := k.FS().Append(c.logPath(), buf.Bytes()); err != nil {
+		c.logBuf = buf
+		if err := k.FS().Append(c.logPath(), buf); err != nil {
 			c.noteWriteFailure(k, err)
 		}
 		if c.LogWriter != nil {
-			if _, err := c.LogWriter.Write(buf.Bytes()); err != nil {
+			if _, err := c.LogWriter.Write(buf); err != nil {
 				c.noteWriteFailure(k, err)
 			}
 		}

@@ -4,9 +4,10 @@
 #
 #   bench_kernel.sh          check mode: smoke-run the in-package kernel and
 #                            PMU benchmarks (one iteration each, catching
-#                            bit-rot), then re-measure the fast path and the
+#                            bit-rot), then re-measure the fast path, the
 #                            cost memo's measurement bracket
-#                            (memo_measure_ns_per_op) and fail if any ns/op
+#                            (memo_measure_ns_per_op) and one cache-hierarchy
+#                            access (cache_access_ns_per_op) and fail if any ns/op
 #                            figure regresses more than the bound recorded in
 #                            the committed BENCH_kernel.json (or if the
 #                            zero-alloc steady state is lost).
