@@ -1,312 +1,29 @@
-// Benchmarks regenerating every table and figure of the paper (DESIGN.md
-// §3). Each benchmark runs a compact configuration of its experiment per
-// iteration and reports the paper's headline quantities as custom metrics,
-// so `go test -bench=. -benchmem` reproduces the whole evaluation:
+// BenchmarkArtifacts regenerates every table and figure of the paper and
+// every extension study (DESIGN.md §3), one sub-benchmark per
+// experiments.Registry entry, each at its default configuration. The
+// numbers themselves are in each rendered artifact and its golden; this
+// times them. Workers follows GOMAXPROCS, so
 //
-//	BenchmarkTable1LinpackGFLOPS    — Table I
-//	BenchmarkTable2MatmulOverhead   — Table II
-//	BenchmarkTable3DgemmOverhead    — Table III
-//	BenchmarkFig4LinpackSeries      — Fig 4
-//	BenchmarkFig5DockerMPKI         — Fig 5
-//	BenchmarkFig6MeltdownCounts     — Fig 6
-//	BenchmarkFig7MeltdownSeries     — Fig 7
-//	BenchmarkFig8OverheadSpread     — Fig 8
-//	BenchmarkFig9CountAccuracy      — Fig 9
-//	BenchmarkTimerGranularity       — §II-C/§III timer study
-//	BenchmarkRateSweep              — §V/§VI rate ablation
+//	go test -bench Artifacts -cpu 1,2 -benchtime 1x .
 //
-// Metric shapes (who wins, rough factors) reproduce the paper; absolute
-// values come from the calibrated simulator (see DESIGN.md §1).
+// times every artifact serially and on two workers.
 package kleb_test
 
 import (
+	"io"
 	"testing"
 
 	"kleb/internal/experiments"
-	"kleb/internal/isa"
-	"kleb/internal/ktime"
-	"kleb/internal/trace"
 )
 
-func BenchmarkTable1LinpackGFLOPS(b *testing.B) {
-	var res *experiments.LinpackResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RunLinpack(experiments.LinpackConfig{
-			Trials: 2, Seed: uint64(i) + 1,
+func BenchmarkArtifacts(b *testing.B) {
+	for _, a := range experiments.Registry() {
+		b.Run(a.Names[0], func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := a.Render(experiments.Params{Seed: 1}, io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	base, _ := res.Row("none")
-	kleb, _ := res.Row("kleb")
-	stat, _ := res.Row("perf-stat")
-	rec, _ := res.Row("perf-record")
-	b.ReportMetric(base.GFLOPS, "GFLOPS/none")
-	b.ReportMetric(kleb.GFLOPS, "GFLOPS/kleb")
-	b.ReportMetric(kleb.LossPct, "loss%/kleb")
-	b.ReportMetric(stat.LossPct, "loss%/perf-stat")
-	b.ReportMetric(rec.LossPct, "loss%/perf-record")
-}
-
-func benchOverhead(b *testing.B, w experiments.Workload, stockOnly bool) {
-	var res *experiments.OverheadResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RunOverhead(experiments.OverheadConfig{
-			Workload: w, Trials: 3, Seed: uint64(i) + 1, StockKernelOnly: stockOnly,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range res.Rows {
-		if row.Unsupported != "" {
-			b.ReportMetric(-1, "overhead%/"+string(row.Tool))
-			continue
-		}
-		b.ReportMetric(row.Mean, "overhead%/"+string(row.Tool))
-	}
-}
-
-func BenchmarkTable2MatmulOverhead(b *testing.B) {
-	benchOverhead(b, experiments.WorkloadTriple, false)
-}
-
-func BenchmarkTable3DgemmOverhead(b *testing.B) {
-	benchOverhead(b, experiments.WorkloadDgemm, true)
-}
-
-func BenchmarkFig4LinpackSeries(b *testing.B) {
-	var res *experiments.LinpackResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RunLinpack(experiments.LinpackConfig{
-			Trials: 1, Seed: uint64(i) + 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(res.Series[isa.EvMulOps])), "samples")
-	// Phase contrast: solve-region multiplication rate vs the init/setup
-	// head (the flat stretch of Fig 4).
-	muls := res.Series[isa.EvMulOps]
-	tenth := len(muls) / 10
-	var head, tail float64
-	for i, v := range muls {
-		if i < tenth {
-			head += v
-		} else {
-			tail += v
-		}
-	}
-	if head == 0 {
-		head = 1
-	}
-	b.ReportMetric(tail/float64(len(muls)-tenth)/(head/float64(tenth)), "mul-phase-contrast")
-}
-
-func BenchmarkFig5DockerMPKI(b *testing.B) {
-	var res *experiments.DockerResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RunDocker(experiments.DockerConfig{
-			Seed: uint64(i) + 1, BothMachines: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	match := 0
-	for _, row := range res.Rows {
-		if row.Class == row.Expected {
-			match++
-		}
-	}
-	b.ReportMetric(float64(match)/float64(len(res.Rows))*100, "class-match%")
-	for _, row := range res.RowsFor("nehalem-i7-920") {
-		b.ReportMetric(row.MPKI, "MPKI/"+row.Image)
-	}
-}
-
-func benchMeltdown(b *testing.B) *experiments.MeltdownResult {
-	var res *experiments.MeltdownResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RunMeltdown(experiments.MeltdownConfig{
-			Rounds: 10, Seed: uint64(i) + 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	return res
-}
-
-func BenchmarkFig6MeltdownCounts(b *testing.B) {
-	res := benchMeltdown(b)
-	b.ReportMetric(res.Victim.LLCRefs, "LLCrefs/victim")
-	b.ReportMetric(res.Attack.LLCRefs, "LLCrefs/meltdown")
-	b.ReportMetric(res.Victim.LLCMisses, "LLCmiss/victim")
-	b.ReportMetric(res.Attack.LLCMisses, "LLCmiss/meltdown")
-	b.ReportMetric(res.Victim.MPKI, "MPKI/victim")
-	b.ReportMetric(res.Attack.MPKI, "MPKI/meltdown")
-}
-
-func BenchmarkFig7MeltdownSeries(b *testing.B) {
-	res := benchMeltdown(b)
-	b.ReportMetric(res.Victim.MeanSamples, "samples@100us/victim")
-	b.ReportMetric(res.Attack.MeanSamples, "samples@100us/meltdown")
-	b.ReportMetric(res.Victim.PerfStatSmpls, "samples@10ms/victim")
-}
-
-func BenchmarkFig8OverheadSpread(b *testing.B) {
-	var res *experiments.OverheadResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RunOverhead(experiments.OverheadConfig{
-			Workload: experiments.WorkloadTriple, Trials: 5, Seed: uint64(i) + 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range res.Rows {
-		if row.Unsupported != "" {
-			continue
-		}
-		b.ReportMetric(trace.Summarize(row.Normalized).Stddev*1000,
-			"norm-stddev(x1000)/"+string(row.Tool))
-	}
-}
-
-func BenchmarkFig9CountAccuracy(b *testing.B) {
-	var res *experiments.AccuracyResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RunAccuracy(experiments.AccuracyConfig{Seed: uint64(i) + 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range res.Rows {
-		if row.Unsupported != "" {
-			continue
-		}
-		b.ReportMetric(row.MaxPct, "maxdiff%/"+string(row.Tool))
-	}
-}
-
-func BenchmarkTimerGranularity(b *testing.B) {
-	var res *experiments.TimerResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RunTimers(uint64(i)+1, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range res.Rows {
-		if row.Requested == 100*ktime.Microsecond {
-			b.ReportMetric(row.AchievedAvg.Microseconds(), "achieved-us@100us/"+row.Facility)
-		}
-	}
-}
-
-func BenchmarkRateSweep(b *testing.B) {
-	var res *experiments.SweepResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RunSweep(experiments.SweepConfig{
-			Periods: []ktime.Duration{100 * ktime.Microsecond, ktime.Millisecond, 10 * ktime.Millisecond},
-			Trials:  2,
-			Seed:    uint64(i) + 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range res.Rows {
-		if row.Tool != experiments.KLEB {
-			continue
-		}
-		b.ReportMetric(row.OverheadPct, "overhead%@"+row.RequestedPeriod.String())
-	}
-}
-
-func BenchmarkBufferAblation(b *testing.B) {
-	var res *experiments.BufferAblationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RunBufferAblation(experiments.BufferAblationConfig{
-			Sizes: []int{64, 1024, 8192}, Seed: uint64(i) + 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.CoveragePct, "coverage%/ring-"+itoa(row.Size))
-	}
-}
-
-func BenchmarkDrainAblation(b *testing.B) {
-	var res *experiments.DrainAblationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RunDrainAblation(experiments.DrainAblationConfig{Seed: uint64(i) + 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.OverheadPct, "overhead%/drain-"+row.Interval.String())
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
-func BenchmarkColocation(b *testing.B) {
-	var res *experiments.ColocateResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RunColocate(experiments.ColocateConfig{Seed: uint64(i) + 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, pair := range [][2]string{{"mysql", "ruby"}, {"mysql", "mysql"}, {"mysql", "apache"}} {
-		if c, ok := res.Cell(pair[0], pair[1]); ok {
-			b.ReportMetric(c.Slowdown, "slowdown/"+pair[0]+"|"+pair[1])
-		}
-	}
-}
-
-func BenchmarkCharacterization(b *testing.B) {
-	var res *experiments.CharacterizeResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RunCharacterize(experiments.CharacterizeConfig{Seed: uint64(i) + 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.IPC, "IPC/"+row.Name)
-		b.ReportMetric(row.MPKI, "MPKI/"+row.Name)
 	}
 }

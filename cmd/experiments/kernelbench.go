@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"testing"
 	"time"
@@ -463,10 +464,12 @@ func writeKernelBench(path, basePath string, seed uint64) error {
 	// Tens of nanoseconds: keep the fractional part, as for block-execute.
 	bench.CacheAccessNsPerOp = float64(access.T.Nanoseconds()) / float64(access.N)
 
+	table2, ok := experiments.Lookup("table2")
+	if !ok {
+		return fmt.Errorf("no table2 experiment")
+	}
 	t0 := time.Now() //klebvet:allow walltime -- host-side benchmark harness timing
-	if _, err := experiments.RunOverhead(experiments.OverheadConfig{
-		Workload: experiments.WorkloadTriple, Trials: 3, Seed: seed, Workers: 1,
-	}); err != nil {
+	if err := table2.Render(experiments.Params{Seed: seed, Trials: 3, Workers: 1}, io.Discard); err != nil {
 		return err
 	}
 	bench.Table2ScaledSeconds = time.Since(t0).Seconds() //klebvet:allow walltime -- host-side benchmark harness timing

@@ -1,59 +1,29 @@
-// Command experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §3 for the index):
-//
-//	experiments table1   — Table I: LINPACK GFLOPS across tools
-//	experiments table2   — Table II: triple-loop matmul overhead
-//	experiments table3   — Table III: MKL dgemm overhead (LiMiT n/a)
-//	experiments fig4     — LINPACK phase time series via K-LEB
-//	experiments fig5     — Docker image MPKI on both machines
-//	experiments fig6     — Meltdown vs non-Meltdown counts
-//	experiments fig7     — Meltdown 100µs time series
-//	experiments fig8     — normalized execution-time box plots
-//	experiments fig9     — cross-tool count accuracy
-//	experiments timers   — user-timer vs HRTimer granularity (§II-C/§III)
-//	experiments sweep    — overhead vs sampling rate (§V/§VI)
-//	experiments buffers  — ring-size ablation of the safety mechanism
-//	experiments drains   — controller drain-cadence ablation
-//	experiments colocate — shared-LLC co-location interference matrix
-//	experiments suite    — characterization fingerprints of the synthetic suite
-//	experiments placement — 4-container placement study (§IV-B's rule, measured)
-//	experiments contention — online cross-core contention detection
-//	experiments multiplex — perf stat scaled estimates vs exact K-LEB counts
-//	                       as the event mix outgrows the counters (§II-B)
-//	experiments taillat  — monitoring overhead as tail latency: the 3-tier
-//	                       serve workload bare and under each tool, exact
-//	                       p50/p99/p999 (exits non-zero if K-LEB's p99
-//	                       effect is not strictly below perf stat's/PAPI's)
-//	experiments events   — print each machine's architectural event table
-//	experiments chaos    — fault-plan chaos sweep (-seeds plans; exits non-zero
-//	                       if any run hangs or loses samples unaccounted)
-//	experiments all      — everything above (chaos excluded: it is a CI gate,
-//	                       not a paper artifact)
+// Command experiments regenerates the tables and figures of the paper's
+// evaluation and the extension studies, one experiments.Registry entry per
+// study (DESIGN.md §3 indexes them against the paper). Run `experiments -h`
+// for the list of names; `experiments all` runs every paper-facing entry
+// once.
 //
 // Every experiment fans its independent simulated runs over a worker pool
 // (-workers, default GOMAXPROCS); results are bit-identical for any pool
-// size. With -md FILE, the paper-facing tables and figures are additionally
-// rendered as a Markdown report (the regenerable EXPERIMENTS record); the
-// pseudo-command "md-only" writes the report and exits. With -json FILE,
-// the pseudo-command "bench" times a representative experiment set serially
-// and at -workers and writes the wall times and speedups as JSON. The
-// pseudo-command "kernel-bench" micro-benchmarks the scheduler's event
-// queue and execute loop and writes BENCH_kernel.json; with -baseline FILE
-// it additionally fails on a >25% ns/op regression (the CI gate driven by
+// size. With -md FILE, every artifact the command prints is also written
+// to FILE as a section of a Markdown report (the regenerable EXPERIMENTS
+// record). The pseudo-command "telemetry-bench" bounds the telemetry emit
+// cost; "kernel-bench" micro-benchmarks the scheduler's event queue and
+// execute loop and writes BENCH_kernel.json, and with -baseline FILE fails
+// on a >25% ns/op regression (the CI gate driven by
 // scripts/bench_kernel.sh). The -cpuprofile / -memprofile flags capture
 // host pprof profiles of any command.
 package main
 
 import (
-	"encoding/json"
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
+	"strings"
 
 	"kleb/internal/experiments"
-	"kleb/internal/pmu"
 	"kleb/internal/prof"
 	"kleb/internal/report"
 	"kleb/internal/session"
@@ -73,13 +43,11 @@ func fail(format string, args ...any) {
 
 func main() {
 	var (
-		trials   = flag.Int("trials", 0, "override trial count (0 = per-experiment default)")
-		rounds   = flag.Int("rounds", 25, "meltdown averaging rounds")
+		trials   = flag.Int("trials", 0, "trial count (0 = each experiment's default); fig6/fig7 average this many rounds, chaos sweeps this many fault plans")
 		seed     = flag.Uint64("seed", 1, "base simulation seed")
 		workers  = flag.Int("workers", 0, "scheduler pool size for each experiment's runs (0 = GOMAXPROCS)")
-		seeds    = flag.Int("seeds", 32, "with the chaos command: how many fault plans to sweep")
-		mdPath   = flag.String("md", "", "also write a Markdown report of the paper-facing results to this file")
-		jsPath   = flag.String("json", "", "with the bench/telemetry-bench commands: write the JSON here")
+		mdPath   = flag.String("md", "", "also write every artifact the command prints to this file as a Markdown report")
+		jsPath   = flag.String("json", "", "with the telemetry-bench/kernel-bench commands: write the JSON here")
 		trPath   = flag.String("trace", "", "write batch-level telemetry as Chrome trace-event JSON to this file")
 		mtPath   = flag.String("metrics", "", "write batch-level telemetry as Prometheus text to this file")
 		basePath = flag.String("baseline", "", "with kernel-bench: compare against this BENCH_kernel.json and fail on regression")
@@ -87,10 +55,7 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a host heap profile (pprof) to this file on exit")
 		legacy   = flag.Bool("legacy-exec", false, "run workloads through the per-step legacy interpreter instead of compiled block streams (differential testing; artifacts are byte-identical)")
 	)
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: experiments [flags] <table1|table2|table3|fig4|fig5|fig6|fig7|fig8|fig9|timers|sweep|buffers|drains|colocate|suite|placement|contention|multiplex|taillat|events|chaos|all|md-only|bench|telemetry-bench|kernel-bench>\n")
-		flag.PrintDefaults()
-	}
+	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() != 1 {
 		flag.Usage()
@@ -108,12 +73,6 @@ func main() {
 		}
 	}()
 	cmd := flag.Arg(0)
-	if cmd == "bench" {
-		if err := writeBench(*jsPath, *trials, *rounds, *seed, *workers); err != nil {
-			fail("experiments bench: %v\n", err)
-		}
-		return
-	}
 	if cmd == "telemetry-bench" {
 		if err := writeTelemetryBench(*jsPath, *seed); err != nil {
 			fail("experiments telemetry-bench: %v\n", err)
@@ -133,307 +92,87 @@ func main() {
 			}
 		}()
 	}
+	var md *report.Writer
+	var mdBuf bytes.Buffer
 	if *mdPath != "" {
-		if err := writeMarkdownReport(*mdPath, *trials, *rounds, *seed, *workers); err != nil {
+		md = report.New(&mdBuf)
+	}
+	p := experiments.Params{Seed: *seed, Trials: *trials, Workers: *workers}
+	if err := dispatch(cmd, p, md); err != nil {
+		fail("experiments %v\n", err)
+	}
+	if md != nil {
+		// Batch telemetry summary (present only when -trace/-metrics
+		// installed a process-wide sink).
+		md.Telemetry(session.BatchTelemetry())
+		if err := md.Err(); err != nil {
+			fail("experiments: markdown report: %v\n", err)
+		}
+		if err := os.WriteFile(*mdPath, mdBuf.Bytes(), 0o644); err != nil {
 			fail("experiments: markdown report: %v\n", err)
 		}
 		fmt.Printf("wrote Markdown report to %s\n", *mdPath)
-		if cmd == "md-only" {
-			return
+	}
+}
+
+// usage lists every registry entry by its names and title.
+func usage() {
+	out := flag.CommandLine.Output()
+	fmt.Fprintf(out, "usage: experiments [flags] <name>\n\nnames:\n")
+	line := func(names, title string) { fmt.Fprintf(out, "  %-16s %s\n", names, title) }
+	for _, a := range experiments.Registry() {
+		title := a.Title
+		if a.Gate {
+			title += " [gate, not in all]"
+		}
+		line(strings.Join(a.Names, ", "), title)
+	}
+	line("all", "every entry above that is not a gate, once each")
+	line("telemetry-bench", "telemetry emit-cost bound (-json, default BENCH_telemetry.json)")
+	line("kernel-bench", "scheduler fast-path micro-benchmarks (-json, default BENCH_kernel.json; -baseline gates)")
+	fmt.Fprintf(out, "\nflags:\n")
+	flag.PrintDefaults()
+}
+
+// allNames expands `all`: the first name of every non-gate registry entry,
+// in registry order.
+func allNames() []string {
+	var names []string
+	for _, a := range experiments.Registry() {
+		if !a.Gate {
+			names = append(names, a.Names[0])
 		}
 	}
-	run := func(name string) {
-		if err := dispatch(name, *trials, *rounds, *seed, *workers, *seeds); err != nil {
-			fail("experiments %s: %v\n", name, err)
-		}
-	}
+	return names
+}
+
+// dispatch runs the registry entry named cmd, or each entry of `all`
+// followed by a blank line. Each artifact is rendered once, then written
+// to stdout and, when md is set, added to the Markdown report.
+func dispatch(cmd string, p experiments.Params, md *report.Writer) error {
+	names := []string{cmd}
 	if cmd == "all" {
-		for _, name := range []string{"table1", "table2", "table3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "timers", "sweep", "buffers", "drains", "colocate", "suite", "placement", "contention", "multiplex", "taillat"} {
-			run(name)
+		names = allNames()
+	}
+	for _, name := range names {
+		a, ok := experiments.Lookup(name)
+		if !ok {
+			return fmt.Errorf("%s: unknown experiment (run with -h for the list)", name)
+		}
+		var buf bytes.Buffer
+		rerr := a.Render(p, &buf)
+		if _, err := os.Stdout.Write(buf.Bytes()); err != nil {
+			return err
+		}
+		if rerr != nil {
+			return fmt.Errorf("%s: %w", name, rerr)
+		}
+		if md != nil {
+			md.Section(a.Title, a.Paper, buf.Bytes())
+		}
+		if cmd == "all" {
 			fmt.Println()
 		}
-		return
-	}
-	run(cmd)
-}
-
-func dispatch(name string, trials, rounds int, seed uint64, workers, seeds int) error {
-	w := os.Stdout
-	switch name {
-	case "table1", "fig4":
-		res, err := experiments.RunLinpack(experiments.LinpackConfig{Trials: trials, Seed: seed, Workers: workers})
-		if err != nil {
-			return err
-		}
-		res.Render(w)
-	case "table2":
-		res, err := experiments.RunOverhead(experiments.OverheadConfig{
-			Workload: experiments.WorkloadTriple, Trials: trials, Seed: seed, Workers: workers,
-		})
-		if err != nil {
-			return err
-		}
-		res.Render(w)
-	case "table3":
-		res, err := experiments.RunOverhead(experiments.OverheadConfig{
-			Workload: experiments.WorkloadDgemm, Trials: trials, Seed: seed,
-			StockKernelOnly: true, Workers: workers,
-		})
-		if err != nil {
-			return err
-		}
-		res.Render(w)
-	case "fig5":
-		res, err := experiments.RunDocker(experiments.DockerConfig{Seed: seed, BothMachines: true, Workers: workers})
-		if err != nil {
-			return err
-		}
-		res.Render(w)
-	case "fig6", "fig7":
-		res, err := experiments.RunMeltdown(experiments.MeltdownConfig{Rounds: rounds, Seed: seed, Workers: workers})
-		if err != nil {
-			return err
-		}
-		res.Render(w)
-	case "fig8":
-		res, err := experiments.RunOverhead(experiments.OverheadConfig{
-			Workload: experiments.WorkloadTriple, Trials: trials, Seed: seed, Workers: workers,
-		})
-		if err != nil {
-			return err
-		}
-		res.RenderBoxes(w)
-	case "fig9":
-		res, err := experiments.RunAccuracy(experiments.AccuracyConfig{Seed: seed, Workers: workers})
-		if err != nil {
-			return err
-		}
-		res.Render(w)
-	case "timers":
-		res, err := experiments.RunTimers(seed, workers)
-		if err != nil {
-			return err
-		}
-		res.Render(w)
-	case "sweep":
-		res, err := experiments.RunSweep(experiments.SweepConfig{Seed: seed, Workers: workers})
-		if err != nil {
-			return err
-		}
-		res.Render(w)
-	case "buffers":
-		res, err := experiments.RunBufferAblation(experiments.BufferAblationConfig{Seed: seed, Workers: workers})
-		if err != nil {
-			return err
-		}
-		res.Render(w)
-	case "drains":
-		res, err := experiments.RunDrainAblation(experiments.DrainAblationConfig{Seed: seed, Workers: workers})
-		if err != nil {
-			return err
-		}
-		res.Render(w)
-	case "colocate":
-		res, err := experiments.RunColocate(experiments.ColocateConfig{Seed: seed, Workers: workers})
-		if err != nil {
-			return err
-		}
-		res.Render(w)
-	case "suite":
-		res, err := experiments.RunCharacterize(experiments.CharacterizeConfig{Seed: seed, Workers: workers})
-		if err != nil {
-			return err
-		}
-		res.Render(w)
-	case "placement":
-		res, err := experiments.RunPlacement(seed, workers)
-		if err != nil {
-			return err
-		}
-		res.Render(w)
-	case "contention":
-		res, err := experiments.RunContention(seed)
-		if err != nil {
-			return err
-		}
-		res.Render(w)
-	case "multiplex":
-		res, err := experiments.RunMultiplex(experiments.MultiplexConfig{Seed: seed, Workers: workers})
-		if err != nil {
-			return err
-		}
-		res.Render(w)
-		// Like chaos, the sweep doubles as a gate on the multiplexing model.
-		return res.Check()
-	case "taillat":
-		res, err := experiments.RunTailLat(experiments.TailLatConfig{Trials: trials, Seed: seed, Workers: workers})
-		if err != nil {
-			return err
-		}
-		res.Render(w)
-		// The study gates the overhead ordering: K-LEB's p99 inflation must
-		// stay strictly below perf stat's and PAPI's.
-		return res.Check()
-	case "events":
-		for i, arch := range pmu.Arches() {
-			if i > 0 {
-				fmt.Fprintln(w)
-			}
-			pmu.MustTable(arch).Render(w)
-		}
-	case "chaos":
-		res, err := experiments.RunChaos(experiments.ChaosConfig{
-			Seeds: seeds, BaseSeed: seed, Workers: workers,
-		})
-		if err != nil {
-			return err
-		}
-		res.Render(w)
-		// The sweep is a gate: a violated invariant fails the command.
-		return res.Check()
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
 	}
 	return nil
-}
-
-// benchRow is one experiment's serial-vs-parallel timing.
-type benchRow struct {
-	Name            string  `json:"name"`
-	SerialSeconds   float64 `json:"serial_seconds"`
-	ParallelSeconds float64 `json:"parallel_seconds"`
-	Speedup         float64 `json:"speedup"`
-}
-
-// writeBench times a representative experiment set with a one-worker pool
-// and again at the requested pool size, then writes the comparison as JSON
-// (speedup scales with real cores; results are identical either way).
-func writeBench(path string, trials, rounds int, seed uint64, workers int) error {
-	if path == "" {
-		path = "BENCH_experiments.json"
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cases := []string{"table2", "fig6", "sweep", "suite"}
-	// Speedup tracks real cores: on a single-CPU host the pool can only
-	// interleave, so the ratio hovers around 1× regardless of -workers.
-	out := struct {
-		Workers int        `json:"workers"`
-		CPUs    int        `json:"cpus"`
-		Rows    []benchRow `json:"experiments"`
-	}{Workers: workers, CPUs: runtime.NumCPU()}
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		return err
-	}
-	defer devnull.Close()
-	stdout := os.Stdout
-	os.Stdout = devnull
-	defer func() { os.Stdout = stdout }()
-	for _, name := range cases {
-		t0 := time.Now() //klebvet:allow walltime -- host-side benchmark harness timing
-		if err := dispatch(name, trials, rounds, seed, 1, 0); err != nil {
-			return err
-		}
-		serial := time.Since(t0).Seconds() //klebvet:allow walltime -- host-side benchmark harness timing
-		t0 = time.Now()                    //klebvet:allow walltime -- host-side benchmark harness timing
-		if err := dispatch(name, trials, rounds, seed, workers, 0); err != nil {
-			return err
-		}
-		parallel := time.Since(t0).Seconds() //klebvet:allow walltime -- host-side benchmark harness timing
-		row := benchRow{Name: name, SerialSeconds: serial, ParallelSeconds: parallel}
-		if parallel > 0 {
-			row.Speedup = serial / parallel
-		}
-		out.Rows = append(out.Rows, row)
-		fmt.Fprintf(os.Stderr, "bench %-8s serial %6.2fs  %d-worker %6.2fs  speedup %.2fx\n",
-			name, serial, workers, parallel, row.Speedup)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writeMarkdownReport runs the paper-facing experiments and renders them as
-// one Markdown document.
-func writeMarkdownReport(path string, trials, rounds int, seed uint64, workers int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r := report.New(f)
-
-	lp, err := experiments.RunLinpack(experiments.LinpackConfig{Trials: trials, Seed: seed, Workers: workers})
-	if err != nil {
-		return err
-	}
-	r.TableI(lp)
-	r.Fig4(lp)
-
-	t2, err := experiments.RunOverhead(experiments.OverheadConfig{
-		Workload: experiments.WorkloadTriple, Trials: trials, Seed: seed, Workers: workers,
-	})
-	if err != nil {
-		return err
-	}
-	r.TableII(t2)
-	r.Fig8(t2)
-
-	t3, err := experiments.RunOverhead(experiments.OverheadConfig{
-		Workload: experiments.WorkloadDgemm, Trials: trials, Seed: seed, StockKernelOnly: true, Workers: workers,
-	})
-	if err != nil {
-		return err
-	}
-	r.TableIII(t3)
-
-	dk, err := experiments.RunDocker(experiments.DockerConfig{Seed: seed, BothMachines: true, Workers: workers})
-	if err != nil {
-		return err
-	}
-	r.Fig5(dk)
-
-	md, err := experiments.RunMeltdown(experiments.MeltdownConfig{Rounds: rounds, Seed: seed, Workers: workers})
-	if err != nil {
-		return err
-	}
-	r.Fig6and7(md)
-
-	ac, err := experiments.RunAccuracy(experiments.AccuracyConfig{Seed: seed, Workers: workers})
-	if err != nil {
-		return err
-	}
-	r.Fig9(ac)
-
-	tm, err := experiments.RunTimers(seed, workers)
-	if err != nil {
-		return err
-	}
-	r.Timers(tm)
-
-	sw, err := experiments.RunSweep(experiments.SweepConfig{Seed: seed, Workers: workers})
-	if err != nil {
-		return err
-	}
-	r.Sweep(sw)
-
-	mx, err := experiments.RunMultiplex(experiments.MultiplexConfig{Seed: seed, Workers: workers})
-	if err != nil {
-		return err
-	}
-	r.Multiplex(mx)
-
-	tl, err := experiments.RunTailLat(experiments.TailLatConfig{Trials: trials, Seed: seed, Workers: workers})
-	if err != nil {
-		return err
-	}
-	r.TailLatency(tl)
-	// Batch telemetry summary (present only when -trace/-metrics installed a
-	// process-wide sink before this report ran).
-	r.Telemetry(session.BatchTelemetry())
-	return r.Err()
 }

@@ -14,7 +14,7 @@ import (
 
 // MeltdownConfig parameterizes Fig 6 and Fig 7.
 type MeltdownConfig struct {
-	// Rounds averages the per-run counts (the paper uses 100).
+	// Rounds averages the per-run counts (default 25; the paper uses 100).
 	Rounds int
 	// Period is K-LEB's sampling interval — 100µs, the headline rate a
 	// 10ms tool cannot approach.
@@ -27,7 +27,7 @@ type MeltdownConfig struct {
 
 func (c *MeltdownConfig) defaults() {
 	if c.Rounds == 0 {
-		c.Rounds = 100
+		c.Rounds = 25
 	}
 	if c.Period == 0 {
 		c.Period = 100 * ktime.Microsecond

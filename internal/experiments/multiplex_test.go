@@ -1,61 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
-	"testing"
-)
-
-var updateGolden = flag.Bool("update", false, "rewrite experiment golden files")
-
-// renderMultiplex runs the default sweep at the given worker count and
-// returns the rendered artifact.
-func renderMultiplex(t *testing.T, workers int) []byte {
-	t.Helper()
-	res, err := RunMultiplex(MultiplexConfig{Workers: workers})
-	if err != nil {
-		t.Fatalf("RunMultiplex(workers=%d): %v", workers, err)
-	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	return buf.Bytes()
-}
-
-// TestMultiplexGolden pins the sweep's rendered artifact byte for byte and
-// requires every run at 1, 2 and 8 workers to reproduce it — the
-// worker-count determinism contract every experiment in this package makes.
-func TestMultiplexGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full matmul sweep in -short mode")
-	}
-	serial := renderMultiplex(t, 1)
-
-	path := filepath.Join("testdata", "multiplex.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, serial, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("missing golden file (regenerate with go test -run Multiplex -update): %v", err)
-		}
-		if !bytes.Equal(serial, want) {
-			t.Errorf("multiplex artifact drifted from golden.\n--- got ---\n%s--- want ---\n%s", serial, want)
-		}
-	}
-
-	for _, workers := range []int{2, 8} {
-		if got := renderMultiplex(t, workers); !bytes.Equal(got, serial) {
-			t.Errorf("%d-worker artifact differs from serial run.\n--- got ---\n%s--- want ---\n%s", workers, got, serial)
-		}
-	}
-}
+import "testing"
 
 // TestMultiplexCheck asserts the sweep's own gate holds: under-budget mixes
 // exact, oversubscribed mixes rotated and measurably scaled.

@@ -1,58 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"os"
-	"path/filepath"
-	"testing"
-)
-
-// renderTailLat runs the default study at the given worker count and
-// returns the rendered artifact.
-func renderTailLat(t *testing.T, workers int) []byte {
-	t.Helper()
-	res, err := RunTailLat(TailLatConfig{Workers: workers})
-	if err != nil {
-		t.Fatalf("RunTailLat(workers=%d): %v", workers, err)
-	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	return buf.Bytes()
-}
-
-// TestTailLatGolden pins the study's rendered artifact byte for byte and
-// requires every run at 1, 2 and 8 workers to reproduce it — the
-// worker-count determinism contract every experiment in this package makes.
-func TestTailLatGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full serve study in -short mode")
-	}
-	serial := renderTailLat(t, 1)
-
-	path := filepath.Join("testdata", "taillat.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, serial, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("missing golden file (regenerate with go test -run TailLat -update): %v", err)
-		}
-		if !bytes.Equal(serial, want) {
-			t.Errorf("taillat artifact drifted from golden.\n--- got ---\n%s--- want ---\n%s", serial, want)
-		}
-	}
-
-	for _, workers := range []int{2, 8} {
-		if got := renderTailLat(t, workers); !bytes.Equal(got, serial) {
-			t.Errorf("%d-worker artifact differs from serial run.\n--- got ---\n%s--- want ---\n%s", workers, got, serial)
-		}
-	}
-}
+import "testing"
 
 // TestTailLatCheck asserts the study's own gate holds on the default
 // configuration: requests conserved, nothing rejected, and K-LEB's p99

@@ -1,4 +1,4 @@
-// Package report renders experiment results as a single Markdown document
+// Package report renders experiment artifacts as a single Markdown document
 // — the machine-generated counterpart of EXPERIMENTS.md, so the
 // paper-vs-measured record can be regenerated from scratch with one
 // command (`cmd/experiments -md results.md all`) instead of being
@@ -8,40 +8,12 @@ package report
 import (
 	"fmt"
 	"io"
-
-	"kleb/internal/experiments"
-	"kleb/internal/isa"
-	"kleb/internal/trace"
 )
-
-// Paper reference values for the side-by-side columns.
-var paperTableII = map[experiments.ToolKind]float64{
-	experiments.KLEB:       0.68,
-	experiments.PerfStat:   6.01,
-	experiments.PerfRecord: 1.65,
-	experiments.PAPI:       6.43,
-	experiments.LiMiT:      4.08,
-}
-
-var paperTableIII = map[experiments.ToolKind]float64{
-	experiments.KLEB:       1.13,
-	experiments.PerfStat:   7.64,
-	experiments.PerfRecord: 2.00,
-	experiments.PAPI:       21.40,
-}
-
-var paperTableI = map[string][2]float64{ // tool -> {GFLOPS, loss%}
-	"none":        {37.24, 0},
-	"kleb":        {37.00, 0.64},
-	"perf-stat":   {34.78, 7.08},
-	"perf-record": {36.89, 0.96},
-}
 
 // Writer accumulates sections into one Markdown document.
 type Writer struct {
-	w        io.Writer
-	sections int
-	err      error
+	w   io.Writer
+	err error
 }
 
 // New starts a document with the standard preamble.
@@ -64,193 +36,20 @@ func (r *Writer) printf(format string, args ...any) {
 }
 
 func (r *Writer) section(title string) {
-	r.sections++
 	r.printf("\n## %s\n\n", title)
 }
 
-// TableI renders the LINPACK GFLOPS comparison against the paper.
-func (r *Writer) TableI(res *experiments.LinpackResult) {
-	r.section("Table I — LINPACK GFLOPS across profiling tools")
-	r.printf("| tool | paper GFLOPS | paper loss%% | measured GFLOPS | measured loss%% |\n")
-	r.printf("|---|---|---|---|---|\n")
-	for _, row := range res.Rows {
-		p := paperTableI[row.Tool]
-		r.printf("| %s | %.2f | %.2f | %.2f | %.2f |\n",
-			row.Tool, p[0], p[1], row.GFLOPS, row.LossPct)
-	}
-}
-
-// Overhead renders Table II or III with the paper column.
-func (r *Writer) Overhead(title string, res *experiments.OverheadResult, paper map[experiments.ToolKind]float64) {
+// Section adds one artifact under a "## title" heading: its rendered text
+// verbatim in a fenced block, then the paper's reported values when paper
+// is not empty.
+func (r *Writer) Section(title, paper string, text []byte) {
 	r.section(title)
-	r.printf("Baseline %v over %d trials at %v sampling.\n\n", res.BaselineMean, res.Trials, res.Period)
-	r.printf("| tool | paper %% | measured %% | samples |\n|---|---|---|---|\n")
-	for _, row := range res.Rows {
-		paperCell := "n/a"
-		if v, ok := paper[row.Tool]; ok {
-			paperCell = fmt.Sprintf("%.2f", v)
-		}
-		if row.Unsupported != "" {
-			r.printf("| %s | %s | n/a (%s) | — |\n", row.Tool, paperCell, row.Unsupported)
-			continue
-		}
-		r.printf("| %s | %s | %.2f | %.0f |\n", row.Tool, paperCell, row.Mean, row.Samples)
-	}
-}
-
-// TableII renders the triple-loop study.
-func (r *Writer) TableII(res *experiments.OverheadResult) {
-	r.Overhead("Table II — % overhead, triple-nested-loop matmul", res, paperTableII)
-}
-
-// TableIII renders the dgemm study.
-func (r *Writer) TableIII(res *experiments.OverheadResult) {
-	r.Overhead("Table III — % overhead, MKL dgemm (stock kernel)", res, paperTableIII)
-}
-
-// Fig4 renders the LINPACK phase series as fenced sparklines.
-func (r *Writer) Fig4(res *experiments.LinpackResult) {
-	r.section("Fig 4 — LINPACK phase behaviour (K-LEB series)")
-	r.printf("```\n")
-	for _, ev := range res.SeriesEvents {
-		ser := make([]uint64, len(res.Series[ev]))
-		for i, v := range res.Series[ev] {
-			ser[i] = uint64(v)
-		}
-		r.printf("%-26s |%s|\n", ev, trace.Sparkline(ser, 70))
-	}
-	r.printf("```\n")
-}
-
-// Fig5 renders the Docker MPKI table.
-func (r *Writer) Fig5(res *experiments.DockerResult) {
-	r.section("Fig 5 — Docker image LLC MPKI (lineage tracking, both machines)")
-	r.printf("| image | machine | MPKI | classified | matches paper |\n|---|---|---|---|---|\n")
-	for _, row := range res.Rows {
-		match := "yes"
-		if row.Class != row.Expected {
-			match = "**NO**"
-		}
-		r.printf("| %s | %s | %.2f | %s | %s |\n", row.Image, row.Machine, row.MPKI, row.Class, match)
-	}
-}
-
-// Fig6and7 renders the Meltdown study.
-func (r *Writer) Fig6and7(res *experiments.MeltdownResult) {
-	r.section("Fig 6/7 — Meltdown vs non-Meltdown at 100µs")
-	r.printf("| program | LLC refs | LLC misses | MPKI | samples@100µs | samples@10ms | elapsed |\n")
-	r.printf("|---|---|---|---|---|---|---|\n")
-	for _, s := range []experiments.MeltdownSide{res.Victim, res.Attack} {
-		r.printf("| %s | %.0f | %.0f | %.2f | %.1f | %.1f | %v |\n",
-			s.Name, s.LLCRefs, s.LLCMisses, s.MPKI, s.MeanSamples, s.PerfStatSmpls, s.MeanElapsed)
-	}
-	r.printf("\n```\n")
-	for _, s := range []experiments.MeltdownSide{res.Victim, res.Attack} {
-		r.printf("%-18s misses |%s|\n", s.Name, trace.Sparkline(s.Series[isa.EvLLCMisses], 60))
-	}
-	r.printf("```\n")
-}
-
-// Fig8 renders the normalized-execution-time distributions.
-func (r *Writer) Fig8(res *experiments.OverheadResult) {
-	r.section("Fig 8 — normalized execution time distributions")
-	r.printf("| tool | median | norm-time stddev |\n|---|---|---|\n")
-	for _, row := range res.Rows {
-		if row.Unsupported != "" {
-			continue
-		}
-		r.printf("| %s | %.4f | %.5f |\n",
-			row.Tool, row.Box.Median, trace.Summarize(row.Normalized).Stddev)
-	}
-}
-
-// Fig9 renders the count-accuracy table.
-func (r *Writer) Fig9(res *experiments.AccuracyResult) {
-	r.section("Fig 9 — % difference in whole-run counts vs K-LEB")
-	r.printf("| tool |")
-	for _, ev := range res.Events {
-		r.printf(" %s |", ev)
-	}
-	r.printf(" max |\n|---|")
-	for range res.Events {
-		r.printf("---|")
-	}
-	r.printf("---|\n")
-	for _, row := range res.Rows {
-		if row.Unsupported != "" {
-			r.printf("| %s | n/a |\n", row.Tool)
-			continue
-		}
-		r.printf("| %s |", row.Tool)
-		for _, ev := range res.Events {
-			r.printf(" %.5f |", row.DiffPct[ev])
-		}
-		r.printf(" %.5f |\n", row.MaxPct)
-	}
-}
-
-// Timers renders the granularity study.
-func (r *Writer) Timers(res *experiments.TimerResult) {
-	r.section("Timer granularity (§II-C/§III)")
-	r.printf("| facility | requested | achieved | jitter σ |\n|---|---|---|---|\n")
-	for _, row := range res.Rows {
-		r.printf("| %s | %v | %v | %v |\n", row.Facility, row.Requested, row.AchievedAvg, row.JitterStd)
-	}
-}
-
-// Sweep renders the rate ablation.
-func (r *Writer) Sweep(res *experiments.SweepResult) {
-	r.section("Rate sweep (§V/§VI)")
-	r.printf("| tool | requested | effective | overhead %% | samples |\n|---|---|---|---|---|\n")
-	for _, row := range res.Rows {
-		r.printf("| %s | %v | %v | %.2f | %.0f |\n",
-			row.Tool, row.RequestedPeriod, row.EffectivePeriod, row.OverheadPct, row.Samples)
-	}
-}
-
-// Multiplex renders the multiplexing-error sweep.
-func (r *Writer) Multiplex(res *experiments.MultiplexResult) {
-	r.section("Multiplexing error (§II-B) — scaled estimates vs exact counts")
-	r.printf("| N | rounds | event | perf-stat (scaled) | scale | K-LEB exact | err %% |\n")
-	r.printf("|---|---|---|---|---|---|---|\n")
-	for _, row := range res.Rows {
-		for i, c := range row.Cells {
-			nCol, rCol := "", ""
-			if i == 0 {
-				nCol = fmt.Sprintf("%d", row.N)
-				rCol = fmt.Sprintf("%d", row.Rounds)
-			}
-			r.printf("| %s | %s | %s | %d | %.3f | %d | %+.3f |\n",
-				nCol, rCol, c.Event, c.Reported, c.Scale, c.Exact, c.ErrPct)
-		}
-	}
-}
-
-// TailLatency renders the serve-workload tail-latency study.
-func (r *Writer) TailLatency(res *experiments.TailLatResult) {
-	r.section("Tail latency under monitoring — 3-tier serve workload")
-	r.printf("Exact percentiles over the merged per-trial populations (%d trials, period %v);\n", res.Trials, res.Period)
-	r.printf("Δp99 is against the same-machine unmonitored baseline on paired seeds.\n\n")
-	for _, sc := range res.Scenarios {
-		r.printf("**%s** (%s)\n\n", sc.Name, sc.Load)
-		r.printf("| tool | machine | p50 ms | p99 ms | p999 ms | Δp99 ms | req/s |\n")
-		r.printf("|---|---|---|---|---|---|---|\n")
-		for _, row := range sc.Rows {
-			if row.Unsupported != "" {
-				r.printf("| %s | %s | n/a | n/a | n/a | n/a | n/a |\n", row.Tool, row.Machine)
-				continue
-			}
-			delta := "—"
-			if row.Tool != "bare" {
-				delta = fmt.Sprintf("%+.3f", float64(row.DeltaP99)/1e6)
-			}
-			r.printf("| %s | %s | %.3f | %.3f | %.3f | %s | %.1f |\n",
-				row.Tool, row.Machine, row.P50.Milliseconds(), row.P99.Milliseconds(),
-				row.P999.Milliseconds(), delta, row.Throughput)
-		}
+	r.printf("```\n%s", text)
+	if n := len(text); n > 0 && text[n-1] != '\n' {
 		r.printf("\n")
 	}
+	r.printf("```\n")
+	if paper != "" {
+		r.printf("\nPaper: %s\n", paper)
+	}
 }
-
-// Sections returns how many sections were emitted (for tests).
-func (r *Writer) Sections() int { return r.sections }

@@ -1,134 +1,85 @@
 package report
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
 
 	"kleb/internal/experiments"
-	"kleb/internal/ktime"
 )
 
-// The report writer is exercised against real (small) experiment runs so
-// the rendering stays in sync with the result types.
+// TestReportRendersAllSections lays out one section per paper-facing
+// registry entry and checks the Markdown shape: every title is a heading,
+// every artifact sits in a closed fence, and the paper's values appear
+// exactly where the registry quotes them.
 func TestReportRendersAllSections(t *testing.T) {
 	var sb strings.Builder
 	r := New(&sb)
-
-	lp, err := experiments.RunLinpack(experiments.LinpackConfig{Trials: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	var want []string
+	for _, a := range experiments.Registry() {
+		if a.Gate {
+			continue
+		}
+		// The last line has no newline: the fence must still close on
+		// its own line.
+		r.Section(a.Title, a.Paper, []byte(a.Names[0]+" body\nlast line"))
+		want = append(want, "\n## "+a.Title+"\n\n```\n"+a.Names[0]+" body\nlast line\n```\n")
+		if a.Paper != "" {
+			want = append(want, "```\n\nPaper: "+a.Paper+"\n")
+		}
 	}
-	r.TableI(lp)
-	r.Fig4(lp)
-
-	t2, err := experiments.RunOverhead(experiments.OverheadConfig{
-		Workload: experiments.WorkloadTriple, Trials: 2, Seed: 1,
-		Tools: []experiments.ToolKind{experiments.KLEB, experiments.PerfStat},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.TableII(t2)
-	r.Fig8(t2)
-
-	t3, err := experiments.RunOverhead(experiments.OverheadConfig{
-		Workload: experiments.WorkloadDgemm, Trials: 2, Seed: 1, StockKernelOnly: true,
-		Tools: []experiments.ToolKind{experiments.KLEB, experiments.LiMiT},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.TableIII(t3)
-
-	md, err := experiments.RunMeltdown(experiments.MeltdownConfig{Rounds: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Fig6and7(md)
-
-	ac, err := experiments.RunAccuracy(experiments.AccuracyConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Fig9(ac)
-
-	tm, err := experiments.RunTimers(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Timers(tm)
-
-	sw, err := experiments.RunSweep(experiments.SweepConfig{
-		Periods: []ktime.Duration{10 * ktime.Millisecond}, Trials: 1, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Sweep(sw)
-
-	mx, err := experiments.RunMultiplex(experiments.MultiplexConfig{
-		Workload: experiments.WorkloadDgemm, Counts: []int{2, 6}, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Multiplex(mx)
-
+	r.Telemetry(nil) // a nil sink renders nothing
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
 	out := sb.String()
-	for _, want := range []string{
-		"# K-LEB reproduction",
-		"## Table I",
-		"## Table II",
-		"## Table III",
-		"## Fig 4",
-		"## Fig 6/7",
-		"## Fig 8",
-		"## Fig 9",
-		"## Timer granularity",
-		"## Rate sweep",
-		"## Multiplexing error",
-		"| kleb |",
-		"n/a (", // LiMiT's Table III row
-		"37.24", // the paper column is present
-		"```",   // sparkline fences
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q", want)
+	if !strings.HasPrefix(out, "# K-LEB reproduction") {
+		t.Errorf("missing preamble:\n%s", out)
+	}
+	for _, w := range want {
+		if !strings.Contains(out, w) {
+			t.Errorf("report missing %q", w)
 		}
 	}
-	if r.Sections() != 10 {
-		t.Errorf("sections: %d", r.Sections())
+	if got := strings.Count(out, "\n## "); got != 17 {
+		t.Errorf("sections: %d, want 17", got)
 	}
-	// Markdown sanity: every table row line has balanced pipes.
-	for i, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "|") && !strings.HasSuffix(line, "|") {
-			t.Errorf("line %d: unbalanced table row %q", i+1, line)
+	if got := strings.Count(out, "Paper: "); got != 3 {
+		t.Errorf("paper lines: %d, want Tables I–III", got)
+	}
+	for _, v := range []string{"37.24", "0.68", "21.40"} {
+		if !strings.Contains(out, v) {
+			t.Errorf("paper value %s missing", v)
 		}
 	}
 }
 
+// TestReportFig5 embeds a real registry artifact: Fig 5's rendered table
+// lands verbatim under its heading, every image classified as the paper
+// does.
 func TestReportFig5(t *testing.T) {
-	res, err := experiments.RunDocker(experiments.DockerConfig{Seed: 1})
-	if err != nil {
+	a, ok := experiments.Lookup("fig5")
+	if !ok {
+		t.Fatal("no fig5 entry")
+	}
+	var text bytes.Buffer
+	if err := a.Render(experiments.Params{Seed: 1}, &text); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
 	r := New(&sb)
-	r.Fig5(res)
+	r.Section(a.Title, a.Paper, text.Bytes())
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
 	out := sb.String()
-	for _, want := range []string{"## Fig 5", "| ruby |", "| tomcat |", "memory-intensive", "yes"} {
+	for _, want := range []string{"## Fig 5", "```\n" + text.String() + "```\n", "ruby ", "tomcat ", "memory-intensive", "yes"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q", want)
 		}
 	}
-	if strings.Contains(out, "**NO**") {
+	if strings.Contains(out, " NO\n") {
 		t.Error("a classification mismatch leaked into the report")
 	}
 }
@@ -146,11 +97,7 @@ func (w *errWriter) Write(p []byte) (int, error) {
 
 func TestReportSurfacesWriteErrors(t *testing.T) {
 	r := New(&errWriter{n: 16})
-	tm, err := experiments.RunTimers(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Timers(tm)
+	r.Section("Timer granularity", "", []byte("facility requested achieved\n"))
 	if r.Err() == nil {
 		t.Error("write error swallowed")
 	}

@@ -78,8 +78,9 @@ func (s Scheduler) workers() int {
 
 // minRunsPerWorker is the striping threshold: below it, the per-goroutine
 // setup and the load imbalance of a static assignment swamp any overlap
-// (BENCH_experiments.json recorded the sweep's 4-run batch at 14.98 s
-// parallel vs 13.71 s serial before this bound existed).
+// (before this bound existed, the sweep's 4-run batches ran slower striped
+// over a pool than serially). `go test -bench Artifacts -cpu 1,2 .` times
+// every artifact serially and on two workers.
 const minRunsPerWorker = 2
 
 // poolSize resolves the pool actually used for an n-run batch: the

@@ -23,7 +23,7 @@
 #   8. taillat smoke one-trial serve-workload run satisfies the tail-latency
 #                  invariants (conservation, monotone percentiles, K-LEB's
 #                  Δp99 strictly under perf stat's and PAPI's; the 3-trial
-#                  golden check runs in CI's chaos job)
+#                  registry golden check runs in CI's chaos job)
 #
 # Exits non-zero on the first failing stage. Run from anywhere inside
 # the repository.
@@ -72,7 +72,7 @@ echo "==> kernel bench smoke (1 iteration)"
 go test ./internal/kernel ./internal/pmu -run 'NONE' -bench . -benchtime 1x >/dev/null
 
 echo "==> chaos smoke (1 fault plan)"
-go run ./cmd/experiments -seeds 1 chaos >/dev/null
+go run ./cmd/experiments -trials 1 chaos >/dev/null
 
 echo "==> klebd smoke (boot, scrape, drain)"
 ./scripts/smoke_klebd.sh >/dev/null
