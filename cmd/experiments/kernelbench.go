@@ -22,9 +22,9 @@ import (
 // gate on the scheduler's event-driven fast path. It re-measures the same
 // shapes as the internal/kernel micro-benchmarks (sleeper storm, steady
 // execute loop, timer churn) through the public kernel API, adds the PMU
-// counter feed, the process-table walk, the cost memo's bracketed
-// measurement and one cache-hierarchy access, and times a scaled-down
-// table2 end to end.
+// counter feed, the process-table walk, one K-LEB-shaped 100µs sample, the
+// cost memo's bracketed measurement and one cache-hierarchy access, and
+// times a scaled-down table2 end to end.
 // scripts/bench_kernel.sh drives it in CI against the committed
 // BENCH_kernel.json the same way the telemetry-bench 25 ns/op bound is
 // enforced.
@@ -56,6 +56,11 @@ type kernelBench struct {
 	// One pid-ordered walk of a 384-entry process table (the doExit
 	// waiter scan and the Processes snapshot both take this shape).
 	ProcTableNsPerOp float64 `json:"proc_table_ns_per_op"`
+	// One 100µs sample in K-LEB's shape on the default, noisy cost model:
+	// an HR timer fire whose handler charges five counter reads and the
+	// per-sample store, and the cut of the user block it interrupts. The
+	// only gated figure that pays for cost noise.
+	HFSampleNsPerOp float64 `json:"hf_sample_ns_per_op"`
 	// One block through the batched compiled-stream path (a BlockStream
 	// whose stable memo replays collapse into run-length priced units) —
 	// the amortized per-block cost the table2 win rests on. Must not
@@ -96,6 +101,15 @@ func benchEventTable() *pmu.EventTable {
 // a 2 GHz core with a three-level hierarchy and a noise-free cost model,
 // so ns/op figures are comparable between `go test -bench` and this gate.
 func benchKernel(seed uint64) *kernel.Kernel {
+	costs := kernel.DefaultCosts()
+	costs.NoiseRel = 0
+	costs.TimerJitterRel = 0
+	costs.RunNoiseRel = 0
+	return benchKernelCosts(seed, costs)
+}
+
+// benchKernelCosts is benchKernel's machine with the given cost model.
+func benchKernelCosts(seed uint64, costs kernel.CostModel) *kernel.Kernel {
 	cfg := cpu.Config{
 		Freq:              ktime.MHz(2000),
 		BaseCPI:           0.5,
@@ -110,10 +124,6 @@ func benchKernel(seed uint64) *kernel.Kernel {
 		MaxSimAccesses: 256,
 	}
 	core := cpu.New(cfg, pmu.New(benchEventTable()), ktime.NewRand(seed))
-	costs := kernel.DefaultCosts()
-	costs.NoiseRel = 0
-	costs.TimerJitterRel = 0
-	costs.RunNoiseRel = 0
 	return kernel.New(core, costs, ktime.NewRand(seed), kernel.Options{})
 }
 
@@ -343,7 +353,59 @@ func benchCounterFeed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.AddCounts(c, isa.User)
+		p.AddCounts(&c, isa.User)
+	}
+}
+
+// benchHFSample prices one sampling period of K-LEB at the paper's 100µs
+// on kernel.DefaultCosts, noise on. Four programmable counters and one
+// fixed counter count user work only, as in the overhead study; the timer
+// handler reads the five of them, paying MSRAccess each, then charges the
+// 300ns store into the sample buffer. The target's blocks run for
+// several periods, so every fire cuts the block in flight.
+func benchHFSample(b *testing.B) {
+	k := benchKernelCosts(9, kernel.DefaultCosts())
+	pm := k.Core().PMU()
+	for _, w := range []struct {
+		msr uint32
+		val uint64
+	}{
+		{pmu.MSRPerfEvtSel0, pmu.Encoding{EventSel: 0x0B, Umask: 0x01}.Sel(pmu.SelUsr | pmu.SelEn)},
+		{pmu.MSRPerfEvtSel0 + 1, pmu.Encoding{EventSel: 0x0B, Umask: 0x02}.Sel(pmu.SelUsr | pmu.SelEn)},
+		{pmu.MSRPerfEvtSel0 + 2, pmu.Encoding{EventSel: 0x2E, Umask: 0x4F}.Sel(pmu.SelUsr | pmu.SelEn)},
+		{pmu.MSRPerfEvtSel0 + 3, pmu.Encoding{EventSel: 0x2E, Umask: 0x41}.Sel(pmu.SelUsr | pmu.SelEn)},
+		{pmu.MSRFixedCtrCtrl, pmu.FixedUsr},
+		{pmu.MSRGlobalCtrl, 0b1111 | 1<<32},
+	} {
+		if err := pm.WriteMSR(w.msr, w.val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reads := [...]uint32{pmu.MSRPmc0, pmu.MSRPmc0 + 1, pmu.MSRPmc0 + 2, pmu.MSRPmc0 + 3, pmu.MSRFixedCtr0}
+	msr := k.Costs().MSRAccess
+	fired := 0
+	k.StartHRTimer(100*ktime.Microsecond, 100*ktime.Microsecond, func(k *kernel.Kernel, t *kernel.HRTimer) bool {
+		for _, addr := range reads {
+			k.ChargeKernel(msr)
+			if _, err := pm.ReadMSR(addr); err != nil {
+				b.Fatal(err)
+			}
+		}
+		k.ChargeKernel(300 * ktime.Nanosecond)
+		fired++
+		return fired < b.N
+	})
+	var op kernel.Op = kernel.OpExec{Block: benchBlock(10_000_000)}
+	k.Spawn("target", kernel.ProgramFunc(func(k *kernel.Kernel, p *kernel.Process) kernel.Op {
+		if fired >= b.N {
+			return kernel.OpExit{}
+		}
+		return op
+	}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(0); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -439,6 +501,11 @@ func writeKernelBench(path, basePath string, seed uint64) error {
 		return err
 	}
 	bench.ProcTableNsPerOp = float64(table.NsPerOp())
+	hf, err := runBench("hf-sample", benchHFSample)
+	if err != nil {
+		return err
+	}
+	bench.HFSampleNsPerOp = float64(hf.NsPerOp())
 	blockExec, err := runBench("block-execute", benchBlockExecute)
 	if err != nil {
 		return err
@@ -522,6 +589,7 @@ func compareKernelBench(bench kernelBench, basePath string) error {
 		{"timer_churn_ns_per_op", bench.TimerChurnNsPerOp, base.TimerChurnNsPerOp, bound},
 		{"counter_feed_ns_per_op", bench.CounterFeedNsPerOp, base.CounterFeedNsPerOp, bound},
 		{"proc_table_ns_per_op", bench.ProcTableNsPerOp, base.ProcTableNsPerOp, bound},
+		{"hf_sample_ns_per_op", bench.HFSampleNsPerOp, base.HFSampleNsPerOp, bound},
 		{"block_execute_ns_per_op", bench.BlockExecuteNsPerOp, base.BlockExecuteNsPerOp, bound},
 		{"steady_phase_ns_per_op", bench.SteadyPhaseNsPerOp, base.SteadyPhaseNsPerOp, bound},
 		{"memo_measure_ns_per_op", bench.MemoMeasureNsPerOp, base.MemoMeasureNsPerOp, bound},

@@ -60,33 +60,48 @@ const defaultFootprint = 4096
 
 // Costed is a fully priced batch of executed work: the event counts it
 // generated and the virtual time it took, at a given privilege level. A
-// Costed result can be split at a timer boundary without re-simulation.
+// Costed result can be cut at a timer boundary without re-simulation.
 type Costed struct {
 	Counts isa.Counts
 	Time   ktime.Duration
 	Priv   isa.Priv
 }
 
-// Empty reports whether no work remains.
-func (c Costed) Empty() bool { return c.Time == 0 && c.Counts[isa.EvInstructions] == 0 }
-
-// Split divides the work at budget: head consumes at most budget time, tail
-// holds the remainder. Event counts split proportionally to time.
-func (c Costed) Split(budget ktime.Duration) (head, tail Costed) {
+// Cut removes the first budget of time from the work and returns it as the
+// head; c keeps the tail. Each head count is count×budget/Time rounded to
+// nearest, computed in uint64 as hi×budget + (lo×budget + Time/2)/Time with
+// hi, lo = count/Time, count%Time, and the tail keeps the rest, clamped at
+// zero. A budget that covers the whole item returns all of it and leaves c
+// empty at the same privilege.
+func (c *Costed) Cut(budget ktime.Duration) (head Costed) {
 	if budget >= c.Time {
-		return c, Costed{Priv: c.Priv}
+		head = *c
+		*c = Costed{Priv: c.Priv}
+		return head
 	}
-	head = Costed{
-		Counts: c.Counts.Scale(uint64(budget), uint64(c.Time)),
-		Time:   budget,
-		Priv:   c.Priv,
+	// head is built in the result slot and the counts are read by index
+	// (ranging over the array would copy it), so the cut copies no vector.
+	head.Time, head.Priv = budget, c.Priv
+	num, den := uint64(budget), uint64(c.Time)
+	for i := range c.Counts {
+		v := c.Counts[i]
+		if v == 0 {
+			continue // rounds to a zero head and a zero tail
+		}
+		var hi uint64 // v/den; most counts of a slice are below its time
+		if v >= den {
+			hi = v / den
+		}
+		h := hi*num + ((v-hi*den)*num+den/2)/den
+		head.Counts[i] = h
+		if v >= h {
+			c.Counts[i] = v - h
+		} else {
+			c.Counts[i] = 0
+		}
 	}
-	tail = Costed{
-		Counts: c.Counts.Sub(head.Counts),
-		Time:   c.Time - budget,
-		Priv:   c.Priv,
-	}
-	return head, tail
+	c.Time -= budget
+	return head
 }
 
 // Core is one simulated processor core.

@@ -161,7 +161,8 @@ func TestCostedSplitConservation(t *testing.T) {
 	whole := c.Execute(b)
 	prop := func(frac8 uint8) bool {
 		budget := ktime.Duration(uint64(whole.Time) * uint64(frac8) / 255)
-		head, tail := whole.Split(budget)
+		tail := whole
+		head := tail.Cut(budget)
 		if head.Time+tail.Time != whole.Time {
 			return false
 		}
@@ -180,16 +181,48 @@ func TestCostedSplitConservation(t *testing.T) {
 func TestCostedSplitEdges(t *testing.T) {
 	w := Costed{Time: 100, Priv: isa.Kernel}
 	w.Counts[isa.EvInstructions] = 1000
-	head, tail := w.Split(200)
-	if head.Time != 100 || !tail.Empty() {
-		t.Error("budget beyond work should return whole")
+
+	tail := w
+	if head := tail.Cut(200); head != w || tail != (Costed{Priv: isa.Kernel}) {
+		t.Errorf("budget beyond work should return whole and keep privilege: head %+v tail %+v", head, tail)
 	}
-	if tail.Priv != isa.Kernel {
-		t.Error("split must preserve privilege")
-	}
-	head, tail = w.Split(0)
-	if head.Time != 0 || tail.Time != 100 {
+	tail = w
+	head := tail.Cut(0)
+	if head.Time != 0 || head.Counts != (isa.Counts{}) || tail.Time != 100 || tail.Counts != w.Counts {
 		t.Error("zero budget should defer everything")
+	}
+	if head.Priv != isa.Kernel || tail.Priv != isa.Kernel {
+		t.Error("cut must preserve privilege")
+	}
+}
+
+// TestCostedCutScale checks each event's share of the head: count*budget/time
+// rounded to nearest, with the tail keeping the rest.
+func TestCostedCutScale(t *testing.T) {
+	w := Costed{Time: 100, Priv: isa.User}
+	w.Counts[isa.EvInstructions] = 1000
+	w.Counts[isa.EvLoads] = 1001 // 500.5 rounds up
+	w.Counts[isa.EvStores] = 3   // below the time: 1.5 rounds up
+
+	tail := w
+	head := tail.Cut(50)
+	want := map[isa.Event][2]uint64{
+		isa.EvInstructions: {500, 500},
+		isa.EvLoads:        {501, 500},
+		isa.EvStores:       {2, 1},
+	}
+	for ev, ht := range want {
+		if head.Counts[ev] != ht[0] || tail.Counts[ev] != ht[1] {
+			t.Errorf("half budget %v: head %d tail %d, want %d and %d", ev, head.Counts[ev], tail.Counts[ev], ht[0], ht[1])
+		}
+	}
+	if head.Time != 50 || tail.Time != 50 || head.Priv != isa.User || tail.Priv != isa.User {
+		t.Errorf("half budget: head %+v tail %+v", head, tail)
+	}
+
+	tail = w
+	if head := tail.Cut(w.Time); head != w || tail != (Costed{Priv: isa.User}) {
+		t.Errorf("budget equal to work should return whole: head %+v tail %+v", head, tail)
 	}
 }
 
@@ -229,7 +262,7 @@ func TestDeterministicExecution(t *testing.T) {
 func TestEmptyBlock(t *testing.T) {
 	c := testCore(10)
 	r := c.Execute(isa.Block{})
-	if !r.Empty() {
+	if r.Time != 0 || r.Counts != (isa.Counts{}) {
 		t.Errorf("empty block produced work: %+v", r)
 	}
 }

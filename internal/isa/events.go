@@ -175,39 +175,12 @@ func (c *Counts) Add(o Counts) {
 	}
 }
 
-// Sub returns c - o with per-element underflow clamped to zero. Counter
-// reads in the tools use it to form per-interval deltas.
-func (c Counts) Sub(o Counts) Counts {
-	var out Counts
-	for i := range c {
-		if c[i] >= o[i] {
-			out[i] = c[i] - o[i]
-		}
-	}
-	return out
-}
-
 // Mul returns c with every count multiplied by k, used when the kernel
 // batches k identical replayed blocks into one priced unit.
 func (c Counts) Mul(k uint64) Counts {
 	var out Counts
 	for i, v := range c {
 		out[i] = v * k
-	}
-	return out
-}
-
-// Scale returns c scaled by num/den (rounding to nearest), used when an
-// instruction block is split at a timer boundary.
-func (c Counts) Scale(num, den uint64) Counts {
-	var out Counts
-	if den == 0 {
-		return out
-	}
-	for i, v := range c {
-		hi := v / den
-		lo := v % den
-		out[i] = hi*num + (lo*num+den/2)/den
 	}
 	return out
 }

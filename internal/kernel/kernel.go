@@ -97,6 +97,11 @@ type Kernel struct {
 	// CostModel.RunNoiseRel).
 	runScale float64
 
+	// chargeCounts is ChargeKernel's event vector, passed to the PMU by
+	// address. Only kernelCounts' six entries are ever written; the rest
+	// stay zero.
+	chargeCounts isa.Counts
+
 	// straceSinks receive syscall trace lines (see TraceSyscalls).
 	straceSinks []io.Writer
 
@@ -270,6 +275,12 @@ func (k *Kernel) Processes() []*Process {
 // ChargeKernel charges d (with cost noise) of kernel-privilege work at the
 // current instant: the clock advances and synthetic kernel instruction
 // activity feeds the PMU, attributed to the current process's kernel time.
+//
+// The counts go to the PMU by the address of k.chargeCounts, and applyWork
+// passes a pointer into a process's pending queue. Both are safe because
+// AddCounts and the PMI and overflow callbacks it triggers only queue work
+// (k.pmis, telemetry): they never re-enter ChargeKernel or touch a pending
+// queue, so neither vector changes while the PMU reads it.
 func (k *Kernel) ChargeKernel(d ktime.Duration) {
 	if d == 0 {
 		return
@@ -284,14 +295,15 @@ func (k *Kernel) ChargeKernel(d ktime.Duration) {
 	if k.current != nil {
 		k.current.kernTime += d
 	}
-	k.core.PMU().AddCounts(kernelCounts(k.freq, d), isa.Kernel)
+	kernelCounts(&k.chargeCounts, k.freq, d)
+	k.core.PMU().AddCounts(&k.chargeCounts, isa.Kernel)
 }
 
-// kernelCounts synthesizes the event activity of d worth of kernel-mode
+// kernelCounts writes into c the event activity of d worth of kernel-mode
 // housekeeping: IPC ~0.5, a sprinkle of branches. Cache events are not
-// synthesized — pollution is modelled directly on the hierarchy.
-func kernelCounts(f ktime.Freq, d ktime.Duration) isa.Counts {
-	var c isa.Counts
+// synthesized — pollution is modelled directly on the hierarchy — and the
+// entries for them are left as they are.
+func kernelCounts(c *isa.Counts, f ktime.Freq, d ktime.Duration) {
 	cyc := f.Cycles(d)
 	c[isa.EvCycles] = cyc
 	c[isa.EvRefCycles] = cyc
@@ -299,7 +311,6 @@ func kernelCounts(f ktime.Freq, d ktime.Duration) isa.Counts {
 	c[isa.EvBranches] = cyc / 16
 	c[isa.EvLoads] = cyc / 8
 	c[isa.EvStores] = cyc / 16
-	return c
 }
 
 // Run drives the simulation until every process has exited, limit virtual
@@ -553,21 +564,25 @@ func (k *Kernel) runCurrent(budget ktime.Duration) {
 		}
 	}
 	w := p.frontPending()
-	head, tail := w.work.Split(budget)
-	k.applyWork(p, head)
-	if tail.Empty() {
-		done := w.onDone
-		p.popPending()
-		if done != nil {
-			done(k, p) //klebvet:allow hotalloc -- completion callbacks belong to the op that queued them (syscall exit bookkeeping), audited below
-		}
-	} else {
-		w.work = tail
+	if budget < w.work.Time {
+		// A boundary lands inside the item: apply the head, leave the
+		// tail in the slot.
+		head := w.work.Cut(budget)
+		k.applyWork(p, &head)
+		return
+	}
+	k.applyWork(p, &w.work)
+	done := w.onDone
+	p.popPending()
+	if done != nil {
+		done(k, p) //klebvet:allow hotalloc -- completion callbacks belong to the op that queued them (syscall exit bookkeeping), audited below
 	}
 }
 
-// applyWork advances the clock over priced work and feeds the PMU.
-func (k *Kernel) applyWork(p *Process, w cpu.Costed) {
+// applyWork advances the clock over priced work and feeds the PMU. w is
+// read, never written; see ChargeKernel for why a pointer into the pending
+// queue is safe to pass on.
+func (k *Kernel) applyWork(p *Process, w *cpu.Costed) {
 	if w.Time == 0 {
 		return
 	}
@@ -577,7 +592,7 @@ func (k *Kernel) applyWork(p *Process, w cpu.Costed) {
 	} else {
 		p.kernTime += w.Time
 	}
-	k.core.PMU().AddCounts(w.Counts, w.Priv)
+	k.core.PMU().AddCounts(&w.Counts, w.Priv)
 }
 
 // startSyscall queues the entry transition; the handler body runs when the
@@ -588,21 +603,20 @@ func (k *Kernel) startSyscall(p *Process, name string, fn SyscallFn) {
 	}
 	k.tel.SyscallEnter(k.clock.Now(), name, int32(p.pid))
 	entry := cpu.Costed{
-		Counts: kernelCounts(k.freq, k.costs.SyscallEntry),
-		Time:   k.rng.Jitter(k.costs.SyscallEntry, k.costs.NoiseRel),
-		Priv:   isa.Kernel,
+		Time: k.rng.Jitter(k.costs.SyscallEntry, k.costs.NoiseRel),
+		Priv: isa.Kernel,
 	}
+	kernelCounts(&entry.Counts, k.freq, k.costs.SyscallEntry)
 	//klebvet:allow hotalloc -- syscall entry/exit continuations allocate per syscall the workload issues, never per HRTimer sample
 	p.pushPending(pendingWork{
 		work: entry,
 		onDone: func(k *Kernel, p *Process) {
 			p.SyscallResult = fn(k, p)
-			exit := cpu.Costed{
-				Counts: kernelCounts(k.freq, k.costs.SyscallExit),
-				Time:   k.rng.Jitter(k.costs.SyscallExit, k.costs.NoiseRel),
-				Priv:   isa.Kernel,
-			}
-			ew := pendingWork{work: exit}
+			ew := pendingWork{work: cpu.Costed{
+				Time: k.rng.Jitter(k.costs.SyscallExit, k.costs.NoiseRel),
+				Priv: isa.Kernel,
+			}}
+			kernelCounts(&ew.work.Counts, k.freq, k.costs.SyscallExit)
 			if k.tel != nil {
 				ew.onDone = func(k *Kernel, p *Process) {
 					k.tel.SyscallExit(k.clock.Now(), name, int32(p.pid))

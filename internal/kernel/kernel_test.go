@@ -521,21 +521,34 @@ func TestWakeupPreemption(t *testing.T) {
 func TestChargeKernelFeedsPMU(t *testing.T) {
 	k := testKernel(20)
 	pm := k.Core().PMU()
-	// Program a branches counter counting kernel-mode only.
-	enc := pmu.Encoding{EventSel: 0xC4, Umask: 0x00}
-	if err := pm.WriteMSR(pmu.MSRPerfEvtSel0, enc.Sel(pmu.SelOS|pmu.SelEn)); err != nil {
+	// Kernel-mode-only counters: branches, which ChargeKernel synthesizes,
+	// and LLC misses, which it leaves at zero.
+	for i, enc := range []pmu.Encoding{{EventSel: 0xC4, Umask: 0x00}, {EventSel: 0x2E, Umask: 0x41}} {
+		if err := pm.WriteMSR(pmu.MSRPerfEvtSel0+uint32(i), enc.Sel(pmu.SelOS|pmu.SelEn)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pm.WriteMSR(pmu.MSRGlobalCtrl, 0b11); err != nil {
 		t.Fatal(err)
 	}
-	if err := pm.WriteMSR(pmu.MSRGlobalCtrl, 1); err != nil {
-		t.Fatal(err)
+	// Two different charges back to back, noise off: each must count
+	// exactly its own cycles/16 branches, so a charge vector that kept or
+	// accumulated the previous charge's counts fails.
+	var elapsed, before uint64
+	for _, d := range []ktime.Duration{10 * ktime.Microsecond, 3 * ktime.Microsecond} {
+		k.ChargeKernel(d)
+		elapsed += uint64(d)
+		v, _ := pm.ReadMSR(pmu.MSRPmc0)
+		if want := ktime.MHz(2000).Cycles(d) / 16; v-before != want {
+			t.Errorf("ChargeKernel(%v) counted %d kernel branches, want %d", d, v-before, want)
+		}
+		before = v
+		if k.Now() != ktime.Time(elapsed) {
+			t.Errorf("clock %v after %v of charges", k.Now(), ktime.Duration(elapsed))
+		}
 	}
-	k.ChargeKernel(10 * ktime.Microsecond)
-	v, _ := pm.ReadMSR(pmu.MSRPmc0)
-	if v == 0 {
-		t.Error("kernel work produced no counted branches")
-	}
-	if k.Now() != ktime.Time(10*ktime.Microsecond) {
-		t.Errorf("clock %v", k.Now())
+	if v, _ := pm.ReadMSR(pmu.MSRPmc0 + 1); v != 0 {
+		t.Errorf("kernel charges counted %d LLC misses, want 0", v)
 	}
 }
 

@@ -57,7 +57,7 @@ func (k *Kernel) executeRun(p *Process, b isa.Block, budget ktime.Duration) cpu.
 		}
 	}
 	if n > 1 {
-		n = k.core.PMU().Headroom(first.Counts, first.Priv, n)
+		n = k.core.PMU().Headroom(&first.Counts, first.Priv, n)
 	}
 	if n <= 1 {
 		return first

@@ -352,7 +352,7 @@ func (c *Controller) writeOp(n int) kernel.Op {
 			buf = append(buf, '\n')
 		}
 		for _, s := range c.pending {
-			buf = strconv.AppendFloat(buf, float64(s.Time)/1000, 'f', 1, 64)
+			buf = appendMicros(buf, s.Time)
 			for i := range c.Cfg.Events {
 				var v uint64
 				if i < len(s.Deltas) {
@@ -374,6 +374,28 @@ func (c *Controller) writeOp(n int) kernel.Op {
 		}
 		return nil
 	}}
+}
+
+// appendMicros appends t as microseconds with one decimal, byte for byte
+// what strconv.AppendFloat(buf, float64(t)/1000, 'f', 1, 64) appends, but in
+// integer arithmetic: AppendFloat with a fixed precision always takes
+// strconv's arbitrary-precision path. The integer rounding is exact below
+// 2^50 ns, where the double's error is under 1/8000 µs, because a time
+// whose remainder mod 100 ns is not 50 lies at least 1 ns from a rounding
+// boundary. An exact tie rounds by its binary value, so ties and larger
+// times go through strconv.
+func appendMicros(buf []byte, t ktime.Time) []byte {
+	ns := uint64(t)
+	rem := ns % 100
+	if rem == 50 || ns >= 1<<50 {
+		return strconv.AppendFloat(buf, float64(ns)/1000, 'f', 1, 64)
+	}
+	tenths := ns / 100
+	if rem > 50 {
+		tenths++
+	}
+	buf = strconv.AppendUint(buf, tenths/10, 10)
+	return append(buf, '.', byte('0'+tenths%10))
 }
 
 // logPath returns the effective CSV log location.

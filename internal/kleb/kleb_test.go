@@ -2,6 +2,7 @@ package kleb
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -439,9 +440,10 @@ func TestRingFIFOProperty(t *testing.T) {
 func TestControllerLogOnFilesystem(t *testing.T) {
 	// The controller logs the samples to the kernel's filesystem (the
 	// paper's design point); the log must parse back to exactly the
-	// collected series.
+	// collected series, and at the paper's 100µs period every row's time
+	// field must be the sample time rendered as strconv renders it.
 	script := targetScript(100_000_000)
-	res, _ := runWithKLEB(t, 30, script, stdConfig(ktime.Millisecond), nil)
+	res, _ := runWithKLEB(t, 30, script, stdConfig(100*ktime.Microsecond), nil)
 
 	raw, ok := res.Machine.Kernel().FS().ReadFile(DefaultLogPath)
 	if !ok {
@@ -465,6 +467,57 @@ func TestControllerLogOnFilesystem(t *testing.T) {
 	if logInstr != memInstr {
 		t.Errorf("log total %d != collected total %d", logInstr, memInstr)
 	}
+	rows := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")[1:]
+	for i, row := range rows {
+		got, _, _ := strings.Cut(row, ",")
+		if want := microsRef(res.Result.Samples[i].Time); got != want {
+			t.Fatalf("row %d time field %q, want %q", i+1, got, want)
+		}
+	}
+}
+
+// microsRef is the rendering appendMicros must reproduce.
+func microsRef(t ktime.Time) string {
+	return strconv.FormatFloat(float64(t)/1000, 'f', 1, 64)
+}
+
+func TestAppendMicros(t *testing.T) {
+	for _, c := range []struct {
+		ns   uint64
+		want string
+	}{
+		{0, "0.0"},
+		{49, "0.0"},
+		{50, "0.1"}, // a tie: the double 0.05 is just above it
+		{51, "0.1"},
+		{1250, "1.2"}, // exact binary ties round to even
+		{1750, "1.8"},
+		{9960, "10.0"}, // the carry into the integer part
+		{1<<50 - 1, "1125899906842.6"},
+		{1 << 50, "1125899906842.6"},
+		{1<<55 + 83, "36028797018964.0"}, // the integer path would give .1
+		{^uint64(0), "18446744073709552.0"},
+	} {
+		got := string(appendMicros([]byte("x"), ktime.Time(c.ns)))
+		if got != "x"+c.want || c.want != microsRef(ktime.Time(c.ns)) {
+			t.Errorf("appendMicros(%d) = %q, want %q (strconv %q)", c.ns, got[1:], c.want, microsRef(ktime.Time(c.ns)))
+		}
+	}
+}
+
+func FuzzAppendMicros(f *testing.F) {
+	for _, ns := range []uint64{0, 49, 50, 51, 1250, 1750, 9960, 1<<50 - 1, 1 << 50, 1<<55 + 83, ^uint64(0)} {
+		f.Add(ns)
+	}
+	f.Fuzz(func(t *testing.T, ns uint64) {
+		// The second value keeps most inputs on the integer path, which
+		// covers times below 2^50 ns.
+		for _, v := range []uint64{ns, ns % (1 << 50)} {
+			if got, want := string(appendMicros(nil, ktime.Time(v))), microsRef(ktime.Time(v)); got != want {
+				t.Fatalf("appendMicros(%d) = %q, strconv gives %q", v, got, want)
+			}
+		}
+	})
 }
 
 // stoppingController configures, starts, waits a fixed time, then issues

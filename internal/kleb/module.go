@@ -97,6 +97,11 @@ type Module struct {
 	k   *kernel.Kernel
 	cfg ModuleConfig
 
+	// msrCost and copyCost are the kernel's MSRAccess and CopyPerSample,
+	// read once at Init: Costs copies the whole cost model, and rdmsr runs
+	// several times per sample.
+	msrCost, copyCost ktime.Duration
+
 	// Counter plan derived from cfg: one placement per cfg.Events position,
 	// produced by the PMU's constraint scheduler. K-LEB accepts only
 	// single-round (non-multiplexed) schedules, so the plan is static for
@@ -174,6 +179,8 @@ func (m *Module) ModuleName() string { return "k_leb" }
 // the scheduler's switch path and to fork/exit.
 func (m *Module) Init(k *kernel.Kernel) error {
 	m.k = k
+	costs := k.Costs()
+	m.msrCost, m.copyCost = costs.MSRAccess, costs.CopyPerSample
 	if err := k.RegisterDevice(DeviceName, m.ioctl); err != nil {
 		return err
 	}
@@ -596,7 +603,7 @@ func (m *Module) read(max int) []monitor.Sample {
 		return nil
 	}
 	out := m.buf.popN(max)
-	m.k.ChargeKernel(ktime.Duration(len(out)) * m.k.Costs().CopyPerSample)
+	m.k.ChargeKernel(ktime.Duration(len(out)) * m.copyCost)
 	m.k.Telemetry().BufferDrain(m.k.Now(), len(out), m.buf.len())
 	if m.paused && m.buf.free() >= len(m.buf.buf)/2 {
 		m.paused = false
@@ -628,14 +635,14 @@ func (m *Module) stop() {
 }
 
 func (m *Module) wrmsr(addr uint32, val uint64) {
-	m.k.ChargeKernel(m.k.Costs().MSRAccess)
+	m.k.ChargeKernel(m.msrCost)
 	if err := m.k.Core().PMU().WriteMSR(addr, val); err != nil {
 		panic(err)
 	}
 }
 
 func (m *Module) rdmsr(addr uint32) uint64 {
-	m.k.ChargeKernel(m.k.Costs().MSRAccess)
+	m.k.ChargeKernel(m.msrCost)
 	v, err := m.k.Core().PMU().ReadMSR(addr)
 	if err != nil {
 		panic(err)

@@ -1,6 +1,7 @@
 package ktime
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -213,6 +214,33 @@ func TestJitter(t *testing.T) {
 	avg := float64(sum) / n
 	if avg < 950 || avg > 1050 {
 		t.Errorf("jitter mean %f drifted from 1000", avg)
+	}
+}
+
+// TestJitterClampMatchesMathMaxMin pins Jitter's two-comparison clamp to
+// the reference math.Max(0, math.Min(v, 4*mean)), bit for bit, on the same
+// draws. At relStddev 3.0 both clamps fire.
+func TestJitterClampMatchesMathMaxMin(t *testing.T) {
+	means := []Duration{1, 250, 1200, 45_000, 1 << 40}
+	for _, rel := range []float64{0.12, 3.0} {
+		got, ref := NewRand(11), NewRand(11)
+		var low, high int
+		for i := 0; i < 1_000_000; i++ {
+			mean := means[i%len(means)]
+			v := float64(mean) * (1 + rel*ref.Norm())
+			want := Duration(math.Max(0, math.Min(v, 4*float64(mean))))
+			if g := got.Jitter(mean, rel); g != want {
+				t.Fatalf("rel %v draw %d: Jitter(%d) = %d, max/min formula gives %d", rel, i, mean, g, want)
+			}
+			if v < 0 {
+				low++
+			} else if v > 4*float64(mean) {
+				high++
+			}
+		}
+		if rel == 3.0 && (low == 0 || high == 0) {
+			t.Errorf("rel %v: clamps fired low %d, high %d times; want both", rel, low, high)
+		}
 	}
 }
 

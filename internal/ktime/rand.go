@@ -1,7 +1,5 @@
 package ktime
 
-import "math"
-
 // Rand is a small deterministic pseudo-random source (SplitMix64). Every
 // stochastic element of the simulation — timer jitter, scheduling noise,
 // randomized memory access patterns — draws from a seeded Rand so that runs
@@ -68,7 +66,13 @@ func (r *Rand) Jitter(mean Duration, relStddev float64) Duration {
 		return 0
 	}
 	v := float64(mean) * (1 + relStddev*r.Norm())
-	v = math.Max(0, math.Min(v, 4*float64(mean)))
+	// math.Max and math.Min are calls on amd64; two comparisons clamp
+	// every finite v the same way, -0 included.
+	if hi := 4 * float64(mean); v > hi {
+		v = hi
+	} else if v < 0 {
+		v = 0
+	}
 	return Duration(v)
 }
 

@@ -72,8 +72,8 @@ func TestAddCountsThroughMask(t *testing.T) {
 	var c isa.Counts
 	c[isa.EvLLCMisses] = 41
 	c[isa.EvInstructions] = 1000
-	p.AddCounts(c, isa.User)
-	p.AddCounts(c, isa.Kernel) // kernel not enabled anywhere: must not count
+	p.AddCounts(&c, isa.User)
+	p.AddCounts(&c, isa.Kernel) // kernel not enabled anywhere: must not count
 	if got, _ := p.ReadMSR(MSRPmc0); got != 41 {
 		t.Errorf("PMC0 = %d, want 41", got)
 	}
@@ -97,7 +97,7 @@ func BenchmarkAddCountsTwoActive(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.AddCounts(c, isa.User)
+		p.AddCounts(&c, isa.User)
 	}
 }
 
@@ -111,6 +111,6 @@ func BenchmarkAddCountsAllDisabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.AddCounts(c, isa.User)
+		p.AddCounts(&c, isa.User)
 	}
 }

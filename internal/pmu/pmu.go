@@ -302,7 +302,10 @@ func (p *PMU) fixedEnabled(i int, priv isa.Priv) bool {
 // through which all simulated "hardware" event activity flows, so it walks
 // only the precomputed active-counter bitmasks: with nothing enabled (the
 // common unmonitored stretch) it is two loads and two branches.
-func (p *PMU) AddCounts(c isa.Counts, priv isa.Priv) {
+//
+// c is passed by address so the per-slice feed copies nothing; AddCounts
+// only reads it and does not keep it.
+func (p *PMU) AddCounts(c *isa.Counts, priv isa.Priv) {
 	pi := privIdx(priv)
 	for m := p.activeProg[pi]; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros8(m)
@@ -351,7 +354,7 @@ func (p *PMU) AddCounts(c isa.Counts, priv isa.Priv) {
 // and its overflow, if any, fires as in the unbatched path. Uncore
 // counters are excluded — they wrap modularly with no PMI, and modular
 // addition is associative, so batching cannot misplace an uncore wrap.
-func (p *PMU) Headroom(c isa.Counts, priv isa.Priv, max uint64) uint64 {
+func (p *PMU) Headroom(c *isa.Counts, priv isa.Priv, max uint64) uint64 {
 	pi := privIdx(priv)
 	for m := p.activeProg[pi]; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros8(m)

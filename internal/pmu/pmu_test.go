@@ -79,8 +79,8 @@ func TestPrivilegeFiltering(t *testing.T) {
 
 	p := testPMU()
 	programLLCMisses(p, SelUsr)
-	p.AddCounts(c, isa.User)
-	p.AddCounts(c, isa.Kernel) // must be ignored
+	p.AddCounts(&c, isa.User)
+	p.AddCounts(&c, isa.Kernel) // must be ignored
 	got, _ := p.ReadMSR(MSRPmc0)
 	if got != 100 {
 		t.Errorf("USR-only counter: got %d, want 100", got)
@@ -88,8 +88,8 @@ func TestPrivilegeFiltering(t *testing.T) {
 
 	p = testPMU()
 	programLLCMisses(p, SelOS)
-	p.AddCounts(c, isa.User) // ignored
-	p.AddCounts(c, isa.Kernel)
+	p.AddCounts(&c, isa.User) // ignored
+	p.AddCounts(&c, isa.Kernel)
 	got, _ = p.ReadMSR(MSRPmc0)
 	if got != 100 {
 		t.Errorf("OS-only counter: got %d, want 100", got)
@@ -97,8 +97,8 @@ func TestPrivilegeFiltering(t *testing.T) {
 
 	p = testPMU()
 	programLLCMisses(p, SelUsr|SelOS)
-	p.AddCounts(c, isa.User)
-	p.AddCounts(c, isa.Kernel)
+	p.AddCounts(&c, isa.User)
+	p.AddCounts(&c, isa.Kernel)
 	got, _ = p.ReadMSR(MSRPmc0)
 	if got != 200 {
 		t.Errorf("USR+OS counter: got %d, want 200", got)
@@ -111,7 +111,7 @@ func TestGlobalCtrlGates(t *testing.T) {
 	p := testPMU()
 	programLLCMisses(p, SelUsr)
 	must(p.WriteMSR(MSRGlobalCtrl, 0)) // gate off
-	p.AddCounts(c, isa.User)
+	p.AddCounts(&c, isa.User)
 	if got, _ := p.ReadMSR(MSRPmc0); got != 0 {
 		t.Errorf("gated counter counted: %d", got)
 	}
@@ -119,7 +119,7 @@ func TestGlobalCtrlGates(t *testing.T) {
 	enc := Encoding{EventSel: 0x2E, Umask: 0x41}
 	must(p.WriteMSR(MSRPerfEvtSel0, enc.Sel(SelUsr))) // no SelEn
 	must(p.WriteMSR(MSRGlobalCtrl, 1))
-	p.AddCounts(c, isa.User)
+	p.AddCounts(&c, isa.User)
 	if got, _ := p.ReadMSR(MSRPmc0); got != 0 {
 		t.Errorf("disabled counter counted: %d", got)
 	}
@@ -136,8 +136,8 @@ func TestFixedCounters(t *testing.T) {
 	ctrl := FixedUsr | FixedUsr<<4 | FixedUsr<<8
 	must(p.WriteMSR(MSRFixedCtrCtrl, ctrl))
 	must(p.WriteMSR(MSRGlobalCtrl, 0x7<<32))
-	p.AddCounts(c, isa.User)
-	p.AddCounts(c, isa.Kernel) // OS bit not set
+	p.AddCounts(&c, isa.User)
+	p.AddCounts(&c, isa.Kernel) // OS bit not set
 	for i, want := range []uint64{10, 20, 30} {
 		got, _ := p.ReadMSR(MSRFixedCtr0 + uint32(i))
 		if got != want {
@@ -159,12 +159,12 @@ func TestOverflowSetsStatusAndPMI(t *testing.T) {
 	})
 	var c isa.Counts
 	c[isa.EvLLCMisses] = 9
-	p.AddCounts(c, isa.User)
+	p.AddCounts(&c, isa.User)
 	if fired != 0 {
 		t.Fatal("PMI before overflow")
 	}
 	c[isa.EvLLCMisses] = 2
-	p.AddCounts(c, isa.User)
+	p.AddCounts(&c, isa.User)
 	if fired != 1 {
 		t.Fatalf("PMI count %d", fired)
 	}
@@ -197,7 +197,7 @@ func TestFixedOverflowPMI(t *testing.T) {
 	})
 	var c isa.Counts
 	c[isa.EvInstructions] = 6
-	p.AddCounts(c, isa.User)
+	p.AddCounts(&c, isa.User)
 	if !fired {
 		t.Error("fixed-counter PMI not delivered")
 	}
@@ -211,7 +211,7 @@ func TestNoPMIWithoutIntBit(t *testing.T) {
 	p.SetPMIHandler(func(int, bool) { fired = true })
 	var c isa.Counts
 	c[isa.EvLLCMisses] = 5
-	p.AddCounts(c, isa.User)
+	p.AddCounts(&c, isa.User)
 	if fired {
 		t.Error("PMI fired without INT bit")
 	}
@@ -279,7 +279,7 @@ func TestCounterSumProperty(t *testing.T) {
 		for _, b := range batches {
 			var c isa.Counts
 			c[isa.EvLLCMisses] = uint64(b)
-			p.AddCounts(c, isa.User)
+			p.AddCounts(&c, isa.User)
 			sum += uint64(b)
 		}
 		got, _ := p.ReadMSR(MSRPmc0)
