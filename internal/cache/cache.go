@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // Config describes one cache level.
@@ -134,6 +135,8 @@ type prewarm struct {
 
 // New builds a cache from cfg. It panics on invalid geometry: profiles are
 // static data fixed at compile time, so a bad one is a programming error.
+// The arrays come from a released cache of the same geometry when one is
+// pooled (see Release), cleared to exactly what a fresh allocation holds.
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -146,9 +149,15 @@ func New(cfg Config) *Cache {
 		ways:    ways,
 		mru:     uint(4 * (ways - 1)),
 		setMask: sets - 1,
-		tags:    make([]uint64, sets*ways),
-		lru:     make([]uint64, sets),
-		settled: make([]uint64, (sets+63)/64),
+	}
+	if s, ok := poolFor(geometry{sets, ways}).Get().(*storage); ok {
+		clear(s.tags)
+		clear(s.settled)
+		c.tags, c.lru, c.settled, c.journal = s.tags, s.lru, s.settled, s.journal
+	} else {
+		c.tags = make([]uint64, sets*ways)
+		c.lru = make([]uint64, sets)
+		c.settled = make([]uint64, (sets+63)/64)
 	}
 	for lb := cfg.LineSize; lb > 1; lb >>= 1 {
 		c.lineBits++
@@ -161,6 +170,57 @@ func New(cfg Config) *Cache {
 		c.lru[i] = order
 	}
 	return c
+}
+
+// geometry keys the storage pools. Sets and ways fix the length of every
+// pooled array; the line count alone would not, because the recency order
+// has one word per set.
+type geometry struct{ sets, ways uint64 }
+
+// storage is what Release hands back for reuse: the tag, recency-order and
+// settled arrays, and the undo journal's backing array at length 0.
+type storage struct {
+	tags, lru, settled []uint64
+	journal            []undo
+}
+
+var (
+	poolsMu sync.Mutex
+	pools   = map[geometry]*sync.Pool{} // guarded by poolsMu
+)
+
+// poolFor returns g's storage pool, creating it on first use.
+func poolFor(g geometry) *sync.Pool {
+	poolsMu.Lock()
+	defer poolsMu.Unlock()
+	p := pools[g]
+	if p == nil {
+		p = new(sync.Pool)
+		pools[g] = p
+	}
+	return p
+}
+
+var errReleaseInBracket = errors.New("cache: Release inside an open Save/Restore bracket")
+
+// Release ends the cache's life: it hands the tag, recency-order and
+// settled arrays and the journal's backing array to its geometry's pool,
+// where the next New of that geometry takes them, and nils them here, so a
+// released cache panics on its next Access instead of sharing storage with
+// a live one. Statistics, Gen and Config stay readable. A second Release
+// is a no-op. Inside an open Save/Restore bracket it panics: the journal
+// the matching Restore needs would be gone. Only the cache's owner may
+// call it, once nothing will touch the cache again; the pool may drop the
+// storage at any garbage collection, so nothing depends on reuse.
+func (c *Cache) Release() {
+	if c.open {
+		panic(errReleaseInBracket)
+	}
+	if c.tags == nil {
+		return
+	}
+	poolFor(geometry{c.sets, c.ways}).Put(&storage{tags: c.tags, lru: c.lru, settled: c.settled, journal: c.journal[:0]})
+	c.tags, c.lru, c.settled, c.journal = nil, nil, nil, nil
 }
 
 // Config returns the level's configuration.

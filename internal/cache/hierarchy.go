@@ -25,6 +25,9 @@ type Hierarchy struct {
 	l1d *Cache
 	l2  *Cache
 	llc *Cache
+	// ownsLLC records that the hierarchy allocated llc itself, so Release
+	// may release it; a shared LLC belongs to whoever passed it in.
+	ownsLLC bool
 }
 
 // NewHierarchy builds the three levels from cfg.
@@ -37,16 +40,30 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // the same LLC contend for its capacity — the substrate for co-location
 // studies. A nil llc allocates a private one from cfg.
 func NewHierarchyShared(cfg HierarchyConfig, llc *Cache) *Hierarchy {
-	if llc == nil {
+	owns := llc == nil
+	if owns {
 		llc = New(cfg.LLC)
 	} else {
 		cfg.LLC = llc.Config()
 	}
 	return &Hierarchy{
-		cfg: cfg,
-		l1d: New(cfg.L1D),
-		l2:  New(cfg.L2),
-		llc: llc,
+		cfg:     cfg,
+		l1d:     New(cfg.L1D),
+		l2:      New(cfg.L2),
+		llc:     llc,
+		ownsLLC: owns,
+	}
+}
+
+// Release releases the levels the hierarchy owns (see Cache.Release): L1D
+// and L2 always, the LLC only when NewHierarchyShared allocated it. A
+// shared LLC is released once, by its owner, after every hierarchy around
+// it is done.
+func (h *Hierarchy) Release() {
+	h.l1d.Release()
+	h.l2.Release()
+	if h.ownsLLC {
+		h.llc.Release()
 	}
 }
 

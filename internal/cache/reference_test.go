@@ -127,18 +127,43 @@ func (r *refCache) Prewarm(base, fp uint64) {
 // 16 a recency-order word holds; 12 leaves unused nibbles in the word.
 var refWays = []int{1, 2, 4, 8, 12, 16}
 
-// matchReference drives a Cache of the given associativity (8 sets of
-// 64-byte lines) and a refCache through ops, three bytes per operation: a
+// refConfig is the differential tests' geometry: 8 sets of 64-byte lines
+// at the given associativity.
+func refConfig(ways int) Config {
+	return Config{Name: "ref", Size: 8 * 64 * uint64(ways), LineSize: 64, Ways: ways, LatencyCycles: 1}
+}
+
+// Occupancy is the fraction of valid slots, computed as Cache does.
+func (r *refCache) Occupancy() float64 {
+	n := 0
+	for _, t := range r.tags {
+		if t != 0 {
+			n++
+		}
+	}
+	return float64(n) / float64(len(r.tags))
+}
+
+// matchReference drives a new Cache of the given associativity (see
+// refConfig) against a refCache through ops (see matchCache).
+func matchReference(t *testing.T, ways int, ops []byte) {
+	t.Helper()
+	matchCache(t, New(refConfig(ways)), ops)
+}
+
+// matchCache drives c, which must be untouched since New, and a fresh
+// refCache of the same geometry through ops, three bytes per operation: a
 // kind and a 16-bit argument. Kinds are Access, Flush, Contains, a
 // Save/Restore toggle, and Prewarm inside a bracket or EvictFraction
 // outside one. Every result, the statistics and Gen must agree after each
-// operation, and every line's residency at the end, both before and after
-// a final Restore.
-func matchReference(t *testing.T, ways int, ops []byte) {
+// operation, and every line's residency and the occupancy at the end, both
+// before and after a final Restore, which leaves c with no open bracket.
+func matchCache(t *testing.T, c *Cache, ops []byte) {
 	t.Helper()
-	cfg := Config{Name: "ref", Size: 8 * 64 * uint64(ways), LineSize: 64, Ways: ways, LatencyCycles: 1}
+	cfg := c.Config()
+	ways := cfg.Ways
 	span := 4 * cfg.Size // four cache-fulls of lines
-	c, r := New(cfg), newRef(cfg)
+	r := newRef(cfg)
 	var s State
 	open := false
 	agree := func(i int, what string) {
@@ -161,6 +186,9 @@ func matchReference(t *testing.T, ways int, ops []byte) {
 			if c.Contains(a) != r.Contains(a) {
 				t.Fatalf("ways %d %s: Contains(%#x) = %v, reference %v", ways, when, a, c.Contains(a), r.Contains(a))
 			}
+		}
+		if c.Occupancy() != r.Occupancy() {
+			t.Fatalf("ways %d %s: Occupancy = %v, reference %v", ways, when, c.Occupancy(), r.Occupancy())
 		}
 	}
 	for i := 0; i+2 < len(ops); i += 3 {

@@ -15,7 +15,9 @@
 // exposition section.
 //
 // Memory stays bounded no matter how long the daemon runs: machines are
-// booted per node-round and discarded (peak live machines == Shards), the
+// booted per node-round and released once the round's result is copied
+// out, so the next round's boot reuses their cache storage (peak live
+// machines == Shards; DESIGN.md §11 "Machine storage lifecycle"), the
 // trace ring holds at most Retention events, and the watermark backpressure
 // caps buffered undelivered rounds at Shards x MaxLead x nodes-per-shard
 // results.

@@ -50,12 +50,14 @@ func fleetArtifacts(t *testing.T, cfg Config) (metrics, trace []byte) {
 // TestFleetAggregateDeterminism is the tentpole invariant: the fleet-level
 // exposition AND the fleet trace window are byte-identical at 1, 2 and 8
 // shards (extending the TelemetryDeterminism suite to the daemon layer).
+// Every fleet after the first boots its node machines into cache storage
+// released by earlier ones, and the last reruns the first fleet exactly.
 func TestFleetAggregateDeterminism(t *testing.T) {
 	baseM, baseT := fleetArtifacts(t, testConfig(1))
 	if !strings.Contains(string(baseM), "kleb_fleet_rounds_total 2") {
 		t.Fatalf("baseline did not fold 2 rounds:\n%s", baseM)
 	}
-	for _, shards := range []int{2, 8} {
+	for _, shards := range []int{2, 8, 1} {
 		m, tr := fleetArtifacts(t, testConfig(shards))
 		if !bytes.Equal(baseM, m) {
 			t.Errorf("fleet exposition differs between 1 and %d shards:\n--- 1 shard\n%s\n--- %d shards\n%s",

@@ -60,7 +60,7 @@ func (f *Fleet) runMonitoredNode(node int, round uint64, seed uint64) nodeResult
 		return nodeResult{node: node, sink: sink, degraded: true, fault: err.Error()}
 	}
 	r := res.Result
-	return nodeResult{
+	out := nodeResult{
 		node:     node,
 		sink:     sink,
 		elapsed:  res.Elapsed,
@@ -71,6 +71,10 @@ func (f *Fleet) runMonitoredNode(node int, round uint64, seed uint64) nodeResult
 		degraded: r.Degraded,
 		fault:    r.Fault,
 	}
+	// The result is copied out, so the next node round on this shard can
+	// boot into this machine's cache storage.
+	res.Machine.Release()
+	return out
 }
 
 // runClusterNode co-simulates a 2-core shared-LLC cluster with one
@@ -100,6 +104,7 @@ func (f *Fleet) runClusterNode(node int, seed uint64) nodeResult {
 			elapsed = now
 		}
 	}
+	c.Release()
 	out.elapsed = elapsed
 	return out
 }

@@ -61,6 +61,18 @@ func (c *Cluster) SetTelemetry(sinks []*telemetry.Sink) {
 // SharedLLC returns the socket's last-level cache.
 func (c *Cluster) SharedLLC() *cache.Cache { return c.llc }
 
+// Release hands every core's private cache levels, then the shared LLC,
+// back for reuse (see Machine.Release). Only the cluster releases the LLC,
+// once every core is done with it: released while a sibling still used
+// it, its arrays could be handed to a new cache, one array to two live
+// caches.
+func (c *Cluster) Release() {
+	for _, m := range c.cores {
+		m.Release()
+	}
+	c.llc.Release()
+}
+
 // DefaultQuantum is the lockstep window for co-simulation: small enough
 // that cross-core LLC contention interleaves at sub-timeslice granularity,
 // large enough to keep stepping overhead negligible.

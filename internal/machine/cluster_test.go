@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"kleb/internal/cache"
 	"kleb/internal/isa"
 	"kleb/internal/kernel"
 	"kleb/internal/ktime"
@@ -157,4 +158,33 @@ func TestClusterIndependentKernelsPerCore(t *testing.T) {
 	if err := k0.RegisterDevice("dev", nil); err == nil {
 		t.Error("same-kernel collision not detected")
 	}
+}
+
+// TestClusterRelease: a core's Release leaves the shared LLC to its
+// siblings, and Cluster.Release, even called twice, gives the LLC's arrays
+// up exactly once, so two caches of its geometry built afterwards never
+// share an array.
+func TestClusterRelease(t *testing.T) {
+	c := BootCluster(quiet(), 3, 2)
+	c.Cores()[0].Kernel().Spawn("a", busyProg(20, 0x1000_0000, 1<<20))
+	c.Cores()[1].Kernel().Spawn("b", busyProg(20, 0x2000_0000, 1<<20))
+	if err := c.Run(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	c.Cores()[0].Release()
+	llc := c.SharedLLC()
+	llc.Access(0x3000_0000)
+	if !llc.Contains(0x3000_0000) {
+		t.Fatal("a core's Release disturbed the shared LLC")
+	}
+	c.Release()
+	c.Release()
+	cfg := quiet().CPU.Hierarchy.LLC
+	a, b := cache.New(cfg), cache.New(cfg)
+	a.Access(0x4000_0000)
+	if b.Contains(0x4000_0000) {
+		t.Fatal("two live caches built after Cluster.Release share one array")
+	}
+	a.Release()
+	b.Release()
 }

@@ -120,3 +120,9 @@ func (m *Machine) Core() *cpu.Core { return m.core }
 
 // Kernel returns the operating system kernel.
 func (m *Machine) Kernel() *kernel.Kernel { return m.kern }
+
+// Release hands the machine's cache storage back for reuse by later boots
+// of the same geometry (see cache.Cache.Release). Call it once nothing
+// will run on or inspect the machine's caches again. A cluster core's
+// Release leaves the shared LLC alone; Cluster.Release releases that.
+func (m *Machine) Release() { m.core.Caches().Release() }

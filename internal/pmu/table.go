@@ -18,6 +18,7 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
+	"sync"
 
 	"kleb/internal/isa"
 )
@@ -262,12 +263,18 @@ var archRegistry = map[string][]EventDesc{}
 func registerArch(arch string, descs []EventDesc) { archRegistry[arch] = descs }
 
 // builtTables caches constructed tables; machines boot thousands of times
-// per experiment and the tables are immutable.
-var builtTables = map[string]*EventTable{}
+// per experiment, from parallel workers, and the tables are immutable.
+var (
+	builtMu     sync.Mutex
+	builtTables = map[string]*EventTable{} // guarded by builtMu
+)
 
 // MustTable returns the generated table for a microarchitecture ("nehalem",
-// "cascadelake"), panicking on unknown names — profiles are static.
+// "cascadelake"), panicking on unknown names — profiles are static. It is
+// safe for concurrent use.
 func MustTable(arch string) *EventTable {
+	builtMu.Lock()
+	defer builtMu.Unlock()
 	if t, ok := builtTables[arch]; ok {
 		return t
 	}

@@ -118,42 +118,40 @@ type Event struct {
 	Arg2 uint64
 }
 
-// Recorder is a bounded ring buffer of Events. When full it discards the
-// oldest event (flight-recorder semantics: a trace of a long run keeps its
-// most recent window) and counts the loss in truncated. The drop policy is
-// deterministic, so a truncated trace is still byte-identical across
-// replays.
+// Recorder is a bounded ring buffer of Events. It grows to its capacity as
+// events arrive, so a short run never pays for a long run's ring; once
+// full it discards the oldest event (flight-recorder semantics: a trace of
+// a long run keeps its most recent window) and counts the loss in
+// truncated. The drop policy is deterministic, so a truncated trace is
+// still byte-identical across replays.
 type Recorder struct {
 	buf       []Event
-	head      int // index of the oldest event
-	count     int
+	limit     int // capacity: buf grows to it, then wraps
+	head      int // index of the oldest event; 0 until the first eviction
 	truncated uint64
 }
 
 // record appends e, evicting the oldest event if the ring is full. A
-// Recorder with no buffer (metrics-only sink) records nothing.
+// Recorder with no capacity (metrics-only sink) records nothing.
 func (r *Recorder) record(e Event) {
-	if len(r.buf) == 0 {
+	if len(r.buf) < r.limit {
+		r.buf = append(r.buf, e)
 		return
 	}
-	if r.count == len(r.buf) {
-		r.buf[r.head] = e
-		r.head = (r.head + 1) % len(r.buf)
-		r.truncated++
+	if r.limit == 0 {
 		return
 	}
-	r.buf[(r.head+r.count)%len(r.buf)] = e
-	r.count++
+	r.buf[r.head] = e
+	r.head = (r.head + 1) % len(r.buf)
+	r.truncated++
 }
 
 // Events returns the buffered events oldest-first.
 func (r *Recorder) Events() []Event {
-	out := make([]Event, r.count)
-	for i := 0; i < r.count; i++ {
-		out[i] = r.buf[(r.head+i)%len(r.buf)]
-	}
-	return out
+	out := make([]Event, 0, len(r.buf))
+	out = append(out, r.buf[r.head:]...)
+	return append(out, r.buf[:r.head]...)
 }
 
 // Len returns the number of buffered events.
-func (r *Recorder) Len() int { return r.count }
+func (r *Recorder) Len() int { return len(r.buf) }

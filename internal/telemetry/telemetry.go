@@ -28,8 +28,8 @@ import "kleb/internal/ktime"
 
 // DefaultEvents is the Recorder ring capacity when New is used. At K-LEB's
 // 100µs sampling a 2-second run emits on the order of 100k events; the
-// default keeps the most recent window of a long run instead of growing
-// without bound.
+// ring grows to this bound and then keeps the most recent window of a long
+// run instead of growing without bound.
 const DefaultEvents = 1 << 17
 
 // Sink bundles the trace Recorder and the metrics Registry for one
@@ -47,15 +47,12 @@ type Sink struct {
 // New returns a Sink recording up to DefaultEvents trace events.
 func New() *Sink { return NewWithCapacity(DefaultEvents) }
 
-// NewWithCapacity returns a Sink whose Recorder holds up to n events.
-// n <= 0 yields a metrics-only Sink (no event recording), the cheap shape
-// the batch scheduler injects per run when aggregating registries.
+// NewWithCapacity returns a Sink whose Recorder holds up to n events. The
+// ring is allocated as events arrive, not up front. n <= 0 yields a
+// metrics-only Sink (no event recording), the cheap shape the batch
+// scheduler injects per run when aggregating registries.
 func NewWithCapacity(n int) *Sink {
-	s := &Sink{}
-	if n > 0 {
-		s.rec.buf = make([]Event, n)
-	}
-	return s
+	return &Sink{rec: Recorder{limit: max(n, 0)}}
 }
 
 // MetricsOnly returns a Sink that aggregates metrics but records no trace

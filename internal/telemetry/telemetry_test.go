@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -67,26 +69,58 @@ func TestNilSinkIsSafeAndEmpty(t *testing.T) {
 	}
 }
 
+// TestRecorderDropsOldestWhenFull feeds a capacity-n sink fewer, exactly
+// and more than n events, across and beyond a whole wrap of the ring:
+// Events returns the newest min(count, n) oldest-first, Truncated the
+// number dropped, and the metrics still count every event.
 func TestRecorderDropsOldestWhenFull(t *testing.T) {
-	s := NewWithCapacity(4)
-	for i := 0; i < 6; i++ {
-		s.CtxSwitch(ktime.Time(i), int32(i), int32(i+1))
-	}
-	evs := s.Events()
-	if len(evs) != 4 {
-		t.Fatalf("got %d events, want 4", len(evs))
-	}
-	if s.Truncated() != 2 {
-		t.Errorf("Truncated = %d, want 2", s.Truncated())
-	}
-	for i, e := range evs {
-		if want := ktime.Time(i + 2); e.Time != want {
-			t.Errorf("event %d time = %d, want %d (oldest-first window)", i, e.Time, want)
+	for _, n := range []int{1, 4, 8} {
+		for _, count := range []int{n - 1, n, n + 2, 2*n + 3} {
+			t.Run(fmt.Sprintf("cap%d/fed%d", n, count), func(t *testing.T) {
+				s := NewWithCapacity(n)
+				for i := 0; i < count; i++ {
+					s.CtxSwitch(ktime.Time(i), int32(i), int32(i+1))
+				}
+				kept := min(count, n)
+				evs := s.Events()
+				if len(evs) != kept || s.rec.Len() != kept {
+					t.Fatalf("Events() has %d, Len() %d, want %d", len(evs), s.rec.Len(), kept)
+				}
+				if got, want := s.Truncated(), uint64(count-kept); got != want {
+					t.Errorf("Truncated = %d, want %d", got, want)
+				}
+				for i, e := range evs {
+					if want := ktime.Time(count - kept + i); e.Time != want {
+						t.Errorf("event %d time = %d, want %d (oldest-first window)", i, e.Time, want)
+					}
+				}
+				if got := s.Registry().CtxSwitches.Value(); got != uint64(count) {
+					t.Errorf("CtxSwitches = %d, want %d", got, count)
+				}
+			})
 		}
 	}
-	// Metrics still count everything, including dropped events.
-	if got := s.Registry().CtxSwitches.Value(); got != 6 {
-		t.Errorf("CtxSwitches = %d, want 6", got)
+}
+
+var keepSink *Sink
+
+// TestRecorderAllocatesLazily pins that a ring's capacity costs nothing
+// until events arrive: NewWithCapacity(1<<14) allocates less than 1 KiB
+// more than a metrics-only sink.
+func TestRecorderAllocatesLazily(t *testing.T) {
+	bytesPer := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 100
+	}
+	base := bytesPer(func() { keepSink = MetricsOnly() })
+	ring := bytesPer(func() { keepSink = NewWithCapacity(1 << 14) })
+	if ring >= base+1024 {
+		t.Errorf("NewWithCapacity(1<<14) allocates %d B, a metrics-only sink %d B: the ring is allocated up front", ring, base)
 	}
 }
 
