@@ -27,7 +27,6 @@ import (
 	"kleb/internal/prof"
 	"kleb/internal/report"
 	"kleb/internal/session"
-	"kleb/internal/workload"
 )
 
 // stopProfiles flushes any active -cpuprofile / -memprofile capture; fail
@@ -53,7 +52,6 @@ func main() {
 		basePath = flag.String("baseline", "", "with kernel-bench: compare against this BENCH_kernel.json and fail on regression")
 		cpuProf  = flag.String("cpuprofile", "", "write a host CPU profile (pprof) to this file")
 		memProf  = flag.String("memprofile", "", "write a host heap profile (pprof) to this file on exit")
-		legacy   = flag.Bool("legacy-exec", false, "run workloads through the per-step legacy interpreter instead of compiled block streams (differential testing; artifacts are byte-identical)")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -61,7 +59,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	workload.SetLegacyExec(*legacy)
 	stop, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
 		fail("experiments: %v\n", err)

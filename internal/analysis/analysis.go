@@ -89,16 +89,6 @@ func All() []*Analyzer {
 	}
 }
 
-// ByName resolves an analyzer by its Name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // Run applies a to one type-checked package and returns the surviving
 // (non-allowlisted) diagnostics sorted by position.
 func Run(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {

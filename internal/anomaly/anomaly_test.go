@@ -199,65 +199,28 @@ func TestEvaluateSeparatesMeltdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := Evaluate(ratio, clean, attack)
-	if ev.FalsePositiveRate > 0.05 {
-		t.Errorf("FPR %.2f on the clean victim", ev.FalsePositiveRate)
+	// The false-positive rate is the clean stream's flag fraction, the
+	// true-positive rate the attack stream's (the whole attack run counts
+	// as positive).
+	rates := func() (fpr, tpr float64) {
+		ratio.Reset()
+		fpr = Scan(ratio, clean).FlagFraction()
+		ratio.Reset()
+		return fpr, Scan(ratio, attack).FlagFraction()
 	}
-	if ev.TruePositiveRate < 0.3 {
-		t.Errorf("TPR %.2f on the attack stream", ev.TruePositiveRate)
+	fpr, tpr := rates()
+	if fpr > 0.05 {
+		t.Errorf("FPR %.2f on the clean victim", fpr)
 	}
-	if ev.Separation() < 0.3 {
-		t.Errorf("separation %.2f", ev.Separation())
+	if tpr < 0.3 {
+		t.Errorf("TPR %.2f on the attack stream", tpr)
 	}
-	// Evaluate must reset state between streams: running it twice gives
-	// identical numbers.
-	again := Evaluate(ratio, clean, attack)
-	if again.FalsePositiveRate != ev.FalsePositiveRate ||
-		again.TruePositiveRate != ev.TruePositiveRate {
-		t.Error("Evaluate is stateful across calls")
+	if tpr-fpr < 0.3 {
+		t.Errorf("separation %.2f", tpr-fpr)
 	}
-}
-
-func TestEvaluateEmptyStreams(t *testing.T) {
-	d, _ := NewRatioDetector(meltdownEvents)
-	ev := Evaluate(d, nil, nil)
-	if ev.FalsePositiveRate != 0 || ev.TruePositiveRate != 0 || ev.Separation() != 0 {
-		t.Errorf("empty evaluation: %+v", ev)
-	}
-}
-
-func TestWindowedEvaluation(t *testing.T) {
-	// Synthetic stream: windows 0-39 clean, 40-59 attack, 60-79 clean,
-	// with the attack interval labeled as ground truth.
-	stream := synthSamples(40, 100, 1_000_000)
-	attackStart := stream[len(stream)-1].Time
-	for i := 0; i < 20; i++ {
-		stream = append(stream, monitor.Sample{
-			Time:   attackStart + ktime.Time(i+1)*ktime.Time(100*ktime.Microsecond),
-			Deltas: []uint64{6000, 2000, 1_000_000},
-		})
-	}
-	attackEnd := stream[len(stream)-1].Time + 1
-	for i := 0; i < 20; i++ {
-		stream = append(stream, monitor.Sample{
-			Time:   attackEnd + ktime.Time(i+1)*ktime.Time(100*ktime.Microsecond),
-			Deltas: []uint64{300, 100, 1_000_000},
-		})
-	}
-
-	d, _ := NewMPKIDetector(meltdownEvents)
-	ev := EvaluateWindowed(d, stream, Window{Start: attackStart, End: attackEnd})
-	if !ev.Detected {
-		t.Fatal("attack window not detected")
-	}
-	if ev.InWindowRate < 0.5 {
-		t.Errorf("in-window rate %.2f", ev.InWindowRate)
-	}
-	if ev.OutWindowRate > 0.05 {
-		t.Errorf("out-window rate %.2f", ev.OutWindowRate)
-	}
-	if ev.DetectionLatency > 500*ktime.Microsecond {
-		t.Errorf("latency %v", ev.DetectionLatency)
+	// Reset must clear all state: scoring again gives identical numbers.
+	if fpr2, tpr2 := rates(); fpr2 != fpr || tpr2 != tpr {
+		t.Error("the detector is stateful across Reset")
 	}
 }
 
@@ -277,32 +240,51 @@ func TestWindowedEvaluationHeartbleedGroundTruth(t *testing.T) {
 	cleanEnd := clean[len(clean)-1].Time
 	perReq := uint64(cleanEnd) / uint64(hb.Requests)
 	attackEnd := stream[len(stream)-1].Time
-	win := Window{
-		Start: ktime.Time(uint64(hb.AttackStart) * perReq),
-		End:   attackEnd - ktime.Time(uint64(hb.Requests-hb.AttackEnd)*perReq),
-	}
+	start := ktime.Time(uint64(hb.AttackStart) * perReq)
+	end := attackEnd - ktime.Time(uint64(hb.Requests-hb.AttackEnd)*perReq)
 
 	d, err := NewCUSUMDetector(meltdownEvents, isa.EvLLCMisses)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.Warmup = 30
-	ev := EvaluateWindowed(d, stream, win)
-	if !ev.Detected {
+	// Flags inside [start, end) are true positives, flags outside it false
+	// positives of the same run.
+	var in, out, inFlag, outFlag int
+	var latency ktime.Duration
+	detected := false
+	for _, v := range Scan(d, stream).Verdicts {
+		if v.Time < start || v.Time >= end {
+			out++
+			if v.Anomalous {
+				outFlag++
+			}
+			continue
+		}
+		in++
+		if v.Anomalous {
+			inFlag++
+			if !detected {
+				detected, latency = true, v.Time.Sub(start)
+			}
+		}
+	}
+	if !detected {
 		t.Fatal("burst not detected inside its ground-truth window")
 	}
+	inRate := float64(inFlag) / float64(in)
+	outRate := float64(outFlag) / float64(max(out, 1))
 	// A CUSUM alarm is sticky by design (it decays, not resets, after the
 	// shift ends), so some post-window spill is expected — but the
 	// in-window rate must dominate and detection must come early in the
 	// window.
-	if ev.InWindowRate <= ev.OutWindowRate {
-		t.Errorf("no separation: in %.2f out %.2f", ev.InWindowRate, ev.OutWindowRate)
+	if inRate <= outRate {
+		t.Errorf("no separation: in %.2f out %.2f", inRate, outRate)
 	}
-	if ev.InWindowRate < 0.5 {
-		t.Errorf("in-window rate %.2f", ev.InWindowRate)
+	if inRate < 0.5 {
+		t.Errorf("in-window rate %.2f", inRate)
 	}
-	winSpan := win.End.Sub(win.Start)
-	if ev.DetectionLatency > winSpan/2 {
-		t.Errorf("detected at %v into a %v window", ev.DetectionLatency, winSpan)
+	if span := end.Sub(start); latency > span/2 {
+		t.Errorf("detected at %v into a %v window", latency, span)
 	}
 }

@@ -16,14 +16,14 @@ import (
 // ring buffer must be, and how often the controller should drain it, for
 // the safety mechanism to stay dormant at the 100µs headline rate.
 
+// ablationPeriod is both ablations' sampling interval: the 100µs headline
+// rate, where the safety mechanism is under the most pressure.
+const ablationPeriod = 100 * ktime.Microsecond
+
 // BufferAblationConfig parameterizes the ring-size sweep.
 type BufferAblationConfig struct {
-	// Sizes are the ring capacities to sweep (defaults: 64 → 8192).
+	// Sizes are the ring capacities to sweep (defaults: 64 → 4096).
 	Sizes []int
-	// Period is the sampling interval (default 100µs).
-	Period ktime.Duration
-	// DrainInterval fixes the controller cadence (default 50ms).
-	DrainInterval ktime.Duration
 	// Seed drives the runs.
 	Seed uint64
 	// Workers sizes the scheduler's pool (0 = GOMAXPROCS).
@@ -33,12 +33,6 @@ type BufferAblationConfig struct {
 func (c *BufferAblationConfig) defaults() {
 	if len(c.Sizes) == 0 {
 		c.Sizes = []int{64, 128, 256, 512, 1024, 4096}
-	}
-	if c.Period == 0 {
-		c.Period = 100 * ktime.Microsecond
-	}
-	if c.DrainInterval == 0 {
-		c.DrainInterval = 50 * ktime.Millisecond
 	}
 }
 
@@ -64,11 +58,13 @@ type BufferAblationResult struct {
 	Rows          []BufferAblationRow
 }
 
-// RunBufferAblation sweeps the kernel ring size at a fixed drain cadence.
-// Undersized rings trip the buffer-full safety pause (losing coverage, not
-// correctness); the default 8192-sample ring keeps the pause dormant at
-// 100µs with 50ms drains, which is the design point the module ships with.
+// RunBufferAblation sweeps the kernel ring size at a fixed 50ms drain
+// cadence. Undersized rings trip the buffer-full safety pause (losing
+// coverage, not correctness); the default 8192-sample ring keeps the pause
+// dormant at 100µs with 50ms drains, which is the design point the module
+// ships with.
 func RunBufferAblation(cfg BufferAblationConfig) (*BufferAblationResult, error) {
+	const drain = 50 * ktime.Millisecond
 	cfg.defaults()
 	script := workload.Synthetic{
 		Name:       "ablation-target",
@@ -76,7 +72,7 @@ func RunBufferAblation(cfg BufferAblationConfig) (*BufferAblationResult, error) 
 		BlockInstr: 100_000,
 		Footprint:  256 << 10,
 	}.Script()
-	res := &BufferAblationResult{Period: cfg.Period, DrainInterval: cfg.DrainInterval}
+	res := &BufferAblationResult{Period: ablationPeriod, DrainInterval: drain}
 
 	// One batch: the unmonitored baseline plus one run per ring size.
 	specs := []session.Spec{baselineSpec(ProfileFor(KLEB), cfg.Seed, script)}
@@ -88,10 +84,10 @@ func RunBufferAblation(cfg BufferAblationConfig) (*BufferAblationResult, error) 
 			NewTool: func() (monitor.Tool, error) {
 				tool := kleb.New()
 				tool.BufferSamples = size
-				tool.DrainInterval = cfg.DrainInterval
+				tool.DrainInterval = drain
 				return tool, nil
 			},
-			Config: monitor.Config{Events: defaultEvents(), Period: cfg.Period, ExcludeKernel: true},
+			Config: monitor.Config{Events: defaultEvents(), Period: ablationPeriod, ExcludeKernel: true},
 		})
 	}
 	runs, err := runAll(cfg.Workers, specs)
@@ -108,7 +104,7 @@ func RunBufferAblation(cfg BufferAblationConfig) (*BufferAblationResult, error) 
 			Dropped:     run.Result.Dropped,
 			OverheadPct: trace.OverheadPct(base.Elapsed.Seconds(), run.Elapsed.Seconds()),
 		}
-		if expected := float64(run.Elapsed) / float64(cfg.Period); expected > 0 {
+		if expected := float64(run.Elapsed) / float64(ablationPeriod); expected > 0 {
 			row.CoveragePct = 100 * float64(row.Collected) / expected
 			if row.CoveragePct > 100 {
 				row.CoveragePct = 100
@@ -134,8 +130,6 @@ func (r *BufferAblationResult) Render(w io.Writer) {
 type DrainAblationConfig struct {
 	// Intervals are the controller drain cadences to sweep.
 	Intervals []ktime.Duration
-	// Period is the sampling interval (default 100µs).
-	Period ktime.Duration
 	// Seed drives the runs.
 	Seed uint64
 	// Workers sizes the scheduler's pool (0 = GOMAXPROCS).
@@ -150,9 +144,6 @@ func (c *DrainAblationConfig) defaults() {
 			100 * ktime.Millisecond,
 			400 * ktime.Millisecond,
 		}
-	}
-	if c.Period == 0 {
-		c.Period = 100 * ktime.Microsecond
 	}
 }
 
@@ -181,7 +172,7 @@ func RunDrainAblation(cfg DrainAblationConfig) (*DrainAblationResult, error) {
 		BlockInstr: 100_000,
 		Footprint:  256 << 10,
 	}.Script()
-	res := &DrainAblationResult{Period: cfg.Period}
+	res := &DrainAblationResult{Period: ablationPeriod}
 
 	// One batch: the unmonitored baseline plus one run per drain cadence.
 	specs := []session.Spec{baselineSpec(ProfileFor(KLEB), cfg.Seed, script)}
@@ -195,7 +186,7 @@ func RunDrainAblation(cfg DrainAblationConfig) (*DrainAblationResult, error) {
 				tool.DrainInterval = interval
 				return tool, nil
 			},
-			Config: monitor.Config{Events: defaultEvents(), Period: cfg.Period, ExcludeKernel: true},
+			Config: monitor.Config{Events: defaultEvents(), Period: ablationPeriod, ExcludeKernel: true},
 		})
 	}
 	runs, err := runAll(cfg.Workers, specs)

@@ -9,28 +9,8 @@ import (
 	"kleb/internal/monitor"
 	"kleb/internal/session"
 	"kleb/internal/trace"
+	"kleb/internal/workload"
 )
-
-// AccuracyConfig parameterizes Fig 9.
-type AccuracyConfig struct {
-	// Workload is the monitored program (the paper uses the matmul).
-	Workload Workload
-	// Period is the sampling interval.
-	Period ktime.Duration
-	// Seed selects the run.
-	Seed uint64
-	// Workers sizes the scheduler's pool (0 = GOMAXPROCS).
-	Workers int
-}
-
-func (c *AccuracyConfig) defaults() {
-	if c.Workload == "" {
-		c.Workload = WorkloadTriple
-	}
-	if c.Period == 0 {
-		c.Period = 10 * ktime.Millisecond
-	}
-}
 
 // AccuracyRow compares one tool's per-event totals against K-LEB's.
 type AccuracyRow struct {
@@ -49,28 +29,25 @@ type AccuracyResult struct {
 	Rows   []AccuracyRow
 }
 
-// RunAccuracy regenerates Fig 9: every tool monitors the same workload on
-// the same seed; whole-run counts of the deterministic architectural
-// events (branches, loads, stores, instructions) are compared pairwise
-// against K-LEB. Differences come from gating edges, multiplexing and
-// sampling quantization — nothing is hard-coded.
-func RunAccuracy(cfg AccuracyConfig) (*AccuracyResult, error) {
-	cfg.defaults()
-	script, err := scriptFor(cfg.Workload)
-	if err != nil {
-		return nil, err
-	}
+// RunAccuracy regenerates Fig 9: every tool monitors the paper's matmul on
+// the same seed at 10ms; whole-run counts of the deterministic
+// architectural events (branches, loads, stores, instructions) are
+// compared pairwise against K-LEB. Differences come from gating edges,
+// multiplexing and sampling quantization — nothing is hard-coded.
+func RunAccuracy(p Params) (*AccuracyResult, error) {
+	const period = 10 * ktime.Millisecond
+	script := workload.NewTripleLoopMatmul().Script()
 	events := []isa.Event{isa.EvBranches, isa.EvLoads, isa.EvStores, isa.EvInstructions}
-	mcfg := monitor.Config{Events: events, Period: cfg.Period, ExcludeKernel: true}
+	mcfg := monitor.Config{Events: events, Period: period, ExcludeKernel: true}
 
 	// Batch 1: a baseline per tool's machine profile — the instrumented
 	// tools size their point counts from the baseline's elapsed time.
 	kinds := []ToolKind{KLEB, PerfStat, PerfRecord, PAPI, LiMiT}
 	baseSpecs := make([]session.Spec, len(kinds))
 	for i, kind := range kinds {
-		baseSpecs[i] = baselineSpec(ProfileFor(kind), cfg.Seed, script)
+		baseSpecs[i] = baselineSpec(ProfileFor(kind), p.Seed, script)
 	}
-	baseOuts := session.Scheduler{Workers: cfg.Workers}.Run(baseSpecs)
+	baseOuts := session.Scheduler{Workers: p.Workers}.Run(baseSpecs)
 
 	// Batch 2: the monitored runs, all on the same seed.
 	runSpecs := make([]session.Spec, len(kinds))
@@ -80,14 +57,14 @@ func RunAccuracy(cfg AccuracyConfig) (*AccuracyResult, error) {
 		}
 		runSpecs[i] = session.Spec{
 			Profile:    ProfileFor(kind),
-			Seed:       cfg.Seed,
+			Seed:       p.Seed,
 			NewTarget:  targetFactory(script),
-			TargetName: string(cfg.Workload),
-			NewTool:    toolFactory(kind, pointsFor(baseOuts[i].Run.Elapsed, cfg.Period)),
+			TargetName: string(WorkloadTriple),
+			NewTool:    toolFactory(kind, pointsFor(baseOuts[i].Run.Elapsed, period)),
 			Config:     mcfg,
 		}
 	}
-	runOuts := session.Scheduler{Workers: cfg.Workers}.Run(runSpecs)
+	runOuts := session.Scheduler{Workers: p.Workers}.Run(runSpecs)
 
 	totalsFor := func(i int) (map[isa.Event]uint64, error) {
 		if baseOuts[i].Err != nil {

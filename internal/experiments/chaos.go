@@ -10,6 +10,7 @@ import (
 	"kleb/internal/ktime"
 	"kleb/internal/monitor"
 	"kleb/internal/session"
+	"kleb/internal/workload"
 )
 
 // The chaos sweep is the fault layer's proof obligation (DESIGN.md §9): run
@@ -20,53 +21,6 @@ import (
 // either drained or still buffered. A fault layer that only sometimes
 // loses data silently would fail (b); a controller that can still be hung
 // by a fault would fail (a).
-
-// ChaosConfig parameterizes the fault-plan sweep.
-type ChaosConfig struct {
-	// Workload is the monitored program (default WorkloadTriple, the
-	// table-2 headline workload).
-	Workload Workload
-	// Seeds is how many derived fault plans to sweep (default 32).
-	Seeds int
-	// BaseSeed roots the per-run seed derivation.
-	BaseSeed uint64
-	// Workers sizes the scheduler's pool (0 = GOMAXPROCS).
-	Workers int
-	// Period is the sampling interval (default 100µs).
-	Period ktime.Duration
-	// Buffer is the kernel ring size (default 512 — deliberately small so
-	// plans that slow draining actually exercise the safety pause).
-	Buffer int
-	// Drain is the controller cadence (default 50ms).
-	Drain ktime.Duration
-	// Limit caps each run's simulated time (default 5s) so even a
-	// hypothetical controller hang cannot stall the sweep.
-	Limit ktime.Duration
-}
-
-func (c *ChaosConfig) defaults() {
-	if c.Workload == "" {
-		c.Workload = WorkloadTriple
-	}
-	if c.Seeds <= 0 {
-		c.Seeds = 32
-	}
-	if c.BaseSeed == 0 {
-		c.BaseSeed = 1
-	}
-	if c.Period == 0 {
-		c.Period = 100 * ktime.Microsecond
-	}
-	if c.Buffer == 0 {
-		c.Buffer = 512
-	}
-	if c.Drain == 0 {
-		c.Drain = 50 * ktime.Millisecond
-	}
-	if c.Limit == 0 {
-		c.Limit = 5 * ktime.Second
-	}
-}
 
 // ChaosRow is one fault plan's outcome.
 type ChaosRow struct {
@@ -111,20 +65,27 @@ type ChaosResult struct {
 	Rows     []ChaosRow
 }
 
-// RunChaos sweeps Seeds derived fault plans over the workload. Every run
-// gets a private plan (plans carry mutable decision state) and a private
-// seed, so the sweep is deterministic for a given config at any worker
-// count.
-func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
-	cfg.defaults()
-	script, err := scriptFor(cfg.Workload)
-	if err != nil {
-		return nil, err
-	}
-	specs := make([]session.Spec, cfg.Seeds)
-	seeds := make([]uint64, cfg.Seeds)
+// RunChaos sweeps p.Trials fault plans (default 32), derived from p.Seed,
+// over K-LEB at 100µs monitoring the Table II matmul. Every run gets a
+// private plan (plans carry mutable decision state) and a private seed, so
+// the sweep is deterministic for given Params at any worker count.
+func RunChaos(p Params) (*ChaosResult, error) {
+	const (
+		period = 100 * ktime.Microsecond
+		// A deliberately small ring, so plans that slow draining actually
+		// exercise the safety pause.
+		buffer = 512
+		drain  = 50 * ktime.Millisecond
+		// Caps each run's simulated time so even a hypothetical controller
+		// hang cannot stall the sweep.
+		limit = 5 * ktime.Second
+	)
+	script := workload.NewTripleLoopMatmul().Script()
+	plans := p.trials(32)
+	specs := make([]session.Spec, plans)
+	seeds := make([]uint64, plans)
 	for i := range specs {
-		seed := session.DeriveSeed(cfg.BaseSeed, i)
+		seed := session.DeriveSeed(p.Seed, i)
 		seeds[i] = seed
 		specs[i] = session.Spec{
 			Profile:   ProfileFor(KLEB),
@@ -132,18 +93,18 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 			NewTarget: targetFactory(script),
 			NewTool: func() (monitor.Tool, error) {
 				tool := kleb.New()
-				tool.BufferSamples = cfg.Buffer
-				tool.DrainInterval = cfg.Drain
+				tool.BufferSamples = buffer
+				tool.DrainInterval = drain
 				return tool, nil
 			},
-			Config: monitor.Config{Events: defaultEvents(), Period: cfg.Period, ExcludeKernel: true},
-			Limit:  cfg.Limit,
+			Config: monitor.Config{Events: defaultEvents(), Period: period, ExcludeKernel: true},
+			Limit:  limit,
 			Faults: fault.FromSeed(seed),
 		}
 	}
-	outs := session.Scheduler{Workers: cfg.Workers}.Run(specs)
+	outs := session.Scheduler{Workers: p.Workers}.Run(specs)
 
-	res := &ChaosResult{Workload: cfg.Workload}
+	res := &ChaosResult{Workload: WorkloadTriple}
 	for i, out := range outs {
 		row := ChaosRow{Index: i, Seed: seeds[i]}
 		if out.Err != nil {

@@ -8,7 +8,7 @@ import (
 // TestChaosInvariant is the fault layer's core proof: across seeded fault
 // plans every run terminates and conserves its sampling periods.
 func TestChaosInvariant(t *testing.T) {
-	res, err := RunChaos(ChaosConfig{Seeds: 8, Workers: 2})
+	res, err := RunChaos(Params{Seed: 1, Trials: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +37,8 @@ func TestChaosInvariant(t *testing.T) {
 // independence: per-run fault plans and seeds are private, so the rows must
 // be bit-identical at any worker count.
 func TestChaosDeterministicAcrossWorkers(t *testing.T) {
-	cfg := ChaosConfig{Seeds: 6}
 	sweep := func(workers int) []ChaosRow {
-		c := cfg
-		c.Workers = workers
-		res, err := RunChaos(c)
+		res, err := RunChaos(Params{Seed: 1, Trials: 6, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

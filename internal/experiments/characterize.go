@@ -17,22 +17,6 @@ import (
 // benchmark collecting {instructions, cycles, LLC misses, branches, branch
 // misses} and deriving the standard fingerprint metrics.
 
-// CharacterizeConfig parameterizes the suite run.
-type CharacterizeConfig struct {
-	// Period is the sampling interval (default 1ms).
-	Period ktime.Duration
-	// Seed drives the runs.
-	Seed uint64
-	// Workers sizes the scheduler's pool (0 = GOMAXPROCS).
-	Workers int
-}
-
-func (c *CharacterizeConfig) defaults() {
-	if c.Period == 0 {
-		c.Period = ktime.Millisecond
-	}
-}
-
 // CharacterizeRow is one benchmark's fingerprint.
 type CharacterizeRow struct {
 	Name, Family string
@@ -59,9 +43,9 @@ func (r *CharacterizeResult) Row(name string) (CharacterizeRow, bool) {
 	return CharacterizeRow{}, false
 }
 
-// RunCharacterize profiles every suite member under K-LEB.
-func RunCharacterize(cfg CharacterizeConfig) (*CharacterizeResult, error) {
-	cfg.defaults()
+// RunCharacterize profiles every suite member under K-LEB at 1ms.
+func RunCharacterize(p Params) (*CharacterizeResult, error) {
+	const period = ktime.Millisecond
 	events := []isa.Event{
 		isa.EvInstructions, isa.EvCycles,
 		isa.EvLLCMisses, isa.EvBranches, isa.EvBranchMisses,
@@ -72,14 +56,14 @@ func RunCharacterize(cfg CharacterizeConfig) (*CharacterizeResult, error) {
 	for i, b := range suite {
 		specs[i] = session.Spec{
 			Profile:    ProfileFor(KLEB),
-			Seed:       cfg.Seed + uint64(workload.ClassSeed(b.Name)),
+			Seed:       p.Seed + uint64(workload.ClassSeed(b.Name)),
 			TargetName: b.Name,
 			NewTarget:  targetFactory(b.Script()),
 			NewTool:    toolFactory(KLEB, 0),
-			Config:     monitor.Config{Events: events, Period: cfg.Period, ExcludeKernel: true},
+			Config:     monitor.Config{Events: events, Period: period, ExcludeKernel: true},
 		}
 	}
-	runs, err := runAll(cfg.Workers, specs)
+	runs, err := runAll(p.Workers, specs)
 	if err != nil {
 		return nil, err
 	}

@@ -14,25 +14,6 @@ import (
 	"kleb/internal/workload"
 )
 
-// DockerConfig parameterizes Fig 5.
-type DockerConfig struct {
-	// Period is the sampling interval.
-	Period ktime.Duration
-	// Seed drives the runs.
-	Seed uint64
-	// BothMachines also runs the Cascade Lake profile to reproduce the
-	// paper's cross-platform trend check.
-	BothMachines bool
-	// Workers sizes the scheduler's pool (0 = GOMAXPROCS).
-	Workers int
-}
-
-func (c *DockerConfig) defaults() {
-	if c.Period == 0 {
-		c.Period = 10 * ktime.Millisecond
-	}
-}
-
 // DockerRow is one image's MPKI measurement on one machine.
 type DockerRow struct {
 	Image     string
@@ -51,15 +32,12 @@ type DockerResult struct {
 
 // RunDocker regenerates Fig 5: K-LEB attaches to the Docker engine process
 // for each image, follows the container child via lineage tracking, and
-// the LLC-miss/instruction totals classify the image by MPKI. With
-// BothMachines it repeats on the Cascade Lake profile and the MPKI *trend*
-// must match even though absolute counts differ (§IV-B).
-func RunDocker(cfg DockerConfig) (*DockerResult, error) {
-	cfg.defaults()
-	profiles := []machine.Profile{machine.Nehalem()}
-	if cfg.BothMachines {
-		profiles = append(profiles, machine.CascadeLake())
-	}
+// the LLC-miss/instruction totals classify the image by MPKI. It runs on
+// both the Nehalem and the Cascade Lake profile, whose MPKI *trend* must
+// match even though absolute counts differ (§IV-B).
+func RunDocker(p Params) (*DockerResult, error) {
+	const period = 10 * ktime.Millisecond
+	profiles := []machine.Profile{machine.Nehalem(), machine.CascadeLake()}
 	res := &DockerResult{}
 	type job struct {
 		prof machine.Profile
@@ -72,19 +50,19 @@ func RunDocker(cfg DockerConfig) (*DockerResult, error) {
 			jobs = append(jobs, job{prof, img})
 			specs = append(specs, session.Spec{
 				Profile:    prof,
-				Seed:       cfg.Seed + uint64(workload.ClassSeed(img.Name)),
+				Seed:       p.Seed + uint64(workload.ClassSeed(img.Name)),
 				TargetName: "dockerd-" + img.Name,
 				NewTarget:  func() kernel.Program { return workload.DockerRun(img) },
 				NewTool:    toolFactory(KLEB, 0),
 				Config: monitor.Config{
 					Events:        []isa.Event{isa.EvLLCMisses, isa.EvInstructions},
-					Period:        cfg.Period,
+					Period:        period,
 					ExcludeKernel: true,
 				},
 			})
 		}
 	}
-	runs, err := runAll(cfg.Workers, specs)
+	runs, err := runAll(p.Workers, specs)
 	if err != nil {
 		return nil, err
 	}

@@ -102,9 +102,7 @@ func TestFig8KLEBHasSmallestSpread(t *testing.T) {
 }
 
 func TestTableIIIShortWorkload(t *testing.T) {
-	res, err := RunOverhead(OverheadConfig{
-		Workload: WorkloadDgemm, Trials: 3, Seed: 1, StockKernelOnly: true,
-	})
+	res, err := RunOverhead(OverheadConfig{Workload: WorkloadDgemm, Trials: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +136,7 @@ func TestTableIIIShortWorkload(t *testing.T) {
 }
 
 func TestTableILinpackGFLOPS(t *testing.T) {
-	res, err := RunLinpack(LinpackConfig{Trials: 3, Seed: 1})
+	res, err := RunLinpack(Params{Seed: 1, Trials: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +167,7 @@ func TestTableILinpackGFLOPS(t *testing.T) {
 }
 
 func TestFig4LinpackPhases(t *testing.T) {
-	res, err := RunLinpack(LinpackConfig{Trials: 2, Seed: 3})
+	res, err := RunLinpack(Params{Seed: 3, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +208,7 @@ func TestFig4LinpackPhases(t *testing.T) {
 }
 
 func TestFig5DockerMPKIClasses(t *testing.T) {
-	res, err := RunDocker(DockerConfig{Seed: 1, BothMachines: true})
+	res, err := RunDocker(Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +273,7 @@ func TestFig5DockerMPKIClasses(t *testing.T) {
 }
 
 func TestFig6And7Meltdown(t *testing.T) {
-	res, err := RunMeltdown(MeltdownConfig{Rounds: 10, Seed: 1})
+	res, err := RunMeltdown(Params{Seed: 1, Trials: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +314,7 @@ func TestFig6And7Meltdown(t *testing.T) {
 }
 
 func TestFig9CountAccuracy(t *testing.T) {
-	res, err := RunAccuracy(AccuracyConfig{Seed: 2})
+	res, err := RunAccuracy(Params{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +522,7 @@ func TestColocationInterference(t *testing.T) {
 }
 
 func TestCharacterizationFingerprints(t *testing.T) {
-	res, err := RunCharacterize(CharacterizeConfig{Seed: 1})
+	res, err := RunCharacterize(Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,32 +12,6 @@ import (
 	"kleb/internal/workload"
 )
 
-// LinpackConfig parameterizes Table I and Fig 4.
-type LinpackConfig struct {
-	// N is the LINPACK problem size (the paper uses 5000).
-	N uint64
-	// Trials averages the runs (the paper uses 10).
-	Trials int
-	// Period is the sampling interval (10ms, to accommodate the long run).
-	Period ktime.Duration
-	// Seed bases the trial seeds.
-	Seed uint64
-	// Workers sizes the scheduler's pool (0 = GOMAXPROCS).
-	Workers int
-}
-
-func (c *LinpackConfig) defaults() {
-	if c.N == 0 {
-		c.N = 5000
-	}
-	if c.Trials == 0 {
-		c.Trials = 10
-	}
-	if c.Period == 0 {
-		c.Period = 10 * ktime.Millisecond
-	}
-}
-
 // LinpackRow is one profiling configuration's Table I entry.
 type LinpackRow struct {
 	Tool    string // "none" for the unprofiled run
@@ -58,16 +32,21 @@ type LinpackResult struct {
 
 // RunLinpack regenerates Table I (GFLOPS under {none, K-LEB, perf stat,
 // perf record}) and Fig 4 (the ARITH.MUL / LOAD / STORE phase series
-// collected by K-LEB).
-func RunLinpack(cfg LinpackConfig) (*LinpackResult, error) {
-	cfg.defaults()
-	lp := workload.NewLinpack(cfg.N)
+// collected by K-LEB). Each configuration averages p.Trials runs (default
+// 10, as in the paper).
+func RunLinpack(p Params) (*LinpackResult, error) {
+	const (
+		n      = 5000                   // the paper's problem size
+		period = 10 * ktime.Millisecond // coarse enough for the long run
+	)
+	trials := p.trials(10)
+	lp := workload.NewLinpack(n)
 	script := lp.Script()
 	flops := float64(lp.Flops())
 
 	events := []isa.Event{isa.EvMulOps, isa.EvLoads, isa.EvStores}
 	res := &LinpackResult{
-		N: cfg.N, Trials: cfg.Trials,
+		N: n, Trials: trials,
 		SeriesEvents: events,
 		Series:       make(map[isa.Event][]float64),
 	}
@@ -77,16 +56,16 @@ func RunLinpack(cfg LinpackConfig) (*LinpackResult, error) {
 	kinds := []ToolKind{KLEB, PerfStat, PerfRecord}
 	var specs []session.Spec
 	addBlock := func(kind ToolKind, withTool bool) {
-		for trial := 0; trial < cfg.Trials; trial++ {
+		for trial := 0; trial < trials; trial++ {
 			spec := session.Spec{
 				Profile:    ProfileFor(KLEB),
-				Seed:       cfg.Seed + uint64(trial)*104729,
+				Seed:       p.Seed + uint64(trial)*104729,
 				NewTarget:  targetFactory(script),
 				TargetName: "linpack",
 			}
 			if withTool {
 				spec.NewTool = toolFactory(kind, 0)
-				spec.Config = monitor.Config{Events: events, Period: cfg.Period, ExcludeKernel: true}
+				spec.Config = monitor.Config{Events: events, Period: period, ExcludeKernel: true}
 			}
 			specs = append(specs, spec)
 		}
@@ -95,24 +74,24 @@ func RunLinpack(cfg LinpackConfig) (*LinpackResult, error) {
 	for _, kind := range kinds {
 		addBlock(kind, true)
 	}
-	runs, err := runAll(cfg.Workers, specs)
+	runs, err := runAll(p.Workers, specs)
 	if err != nil {
 		return nil, err
 	}
 
 	gflopsFor := func(block int) float64 {
 		var total float64
-		for trial := 0; trial < cfg.Trials; trial++ {
-			total += flops / 1e9 / runs[block*cfg.Trials+trial].Elapsed.Seconds()
+		for trial := 0; trial < trials; trial++ {
+			total += flops / 1e9 / runs[block*trials+trial].Elapsed.Seconds()
 		}
-		return total / float64(cfg.Trials)
+		return total / float64(trials)
 	}
 	baseGF := gflopsFor(0)
 	res.Rows = append(res.Rows, LinpackRow{Tool: "none", GFLOPS: baseGF})
 	for ki, kind := range kinds {
 		if kind == KLEB {
-			for trial := 0; trial < cfg.Trials; trial++ {
-				res.accumulateSeries(runs[(ki+1)*cfg.Trials+trial].Result)
+			for trial := 0; trial < trials; trial++ {
+				res.accumulateSeries(runs[(ki+1)*trials+trial].Result)
 			}
 		}
 		gf := gflopsFor(ki + 1)
@@ -125,7 +104,7 @@ func RunLinpack(cfg LinpackConfig) (*LinpackResult, error) {
 	// Average the accumulated series over the K-LEB trials.
 	for _, ev := range events {
 		for i := range res.Series[ev] {
-			res.Series[ev][i] /= float64(cfg.Trials)
+			res.Series[ev][i] /= float64(trials)
 		}
 	}
 	return res, nil

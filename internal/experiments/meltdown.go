@@ -12,28 +12,6 @@ import (
 	"kleb/internal/workload"
 )
 
-// MeltdownConfig parameterizes Fig 6 and Fig 7.
-type MeltdownConfig struct {
-	// Rounds averages the per-run counts (default 25; the paper uses 100).
-	Rounds int
-	// Period is K-LEB's sampling interval — 100µs, the headline rate a
-	// 10ms tool cannot approach.
-	Period ktime.Duration
-	// Seed bases the round seeds.
-	Seed uint64
-	// Workers sizes the scheduler's pool (0 = GOMAXPROCS).
-	Workers int
-}
-
-func (c *MeltdownConfig) defaults() {
-	if c.Rounds == 0 {
-		c.Rounds = 25
-	}
-	if c.Period == 0 {
-		c.Period = 100 * ktime.Microsecond
-	}
-}
-
 // MeltdownSide is the victim-only or victim+attack measurement.
 type MeltdownSide struct {
 	Name          string
@@ -56,44 +34,47 @@ type MeltdownResult struct {
 }
 
 // RunMeltdown regenerates Fig 6 (average LLC references/misses with and
-// without the attack) and Fig 7 (the 100µs time series localizing the
-// attack window), plus the §IV-C observation that a 10ms tool collects at
-// most one sample of the victim.
-func RunMeltdown(cfg MeltdownConfig) (*MeltdownResult, error) {
-	cfg.defaults()
+// without the attack, over p.Trials rounds: default 25, the paper uses 100)
+// and Fig 7 (the 100µs time series localizing the attack window), plus the
+// §IV-C observation that a 10ms tool collects at most one sample of the
+// victim.
+func RunMeltdown(p Params) (*MeltdownResult, error) {
+	rounds := p.trials(25)
 	m := workload.NewMeltdown()
 	res := &MeltdownResult{}
 	var err error
-	res.Victim, err = runMeltdownSide(cfg, "victim", m.VictimScript())
+	res.Victim, err = runMeltdownSide(p, rounds, "victim", m.VictimScript())
 	if err != nil {
 		return nil, err
 	}
-	res.Attack, err = runMeltdownSide(cfg, "victim+meltdown", m.AttackScript())
+	res.Attack, err = runMeltdownSide(p, rounds, "victim+meltdown", m.AttackScript())
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-func runMeltdownSide(cfg MeltdownConfig, name string, script workload.Script) (MeltdownSide, error) {
+func runMeltdownSide(p Params, rounds int, name string, script workload.Script) (MeltdownSide, error) {
+	// K-LEB's headline rate, which a 10ms tool cannot approach.
+	const period = 100 * ktime.Microsecond
 	events := []isa.Event{isa.EvLLCRefs, isa.EvLLCMisses, isa.EvInstructions}
 	side := MeltdownSide{Name: name, SeriesEvents: events, Series: map[isa.Event][]uint64{}}
-	specs := make([]session.Spec, cfg.Rounds)
+	specs := make([]session.Spec, rounds)
 	for round := range specs {
 		specs[round] = session.Spec{
 			Profile:    ProfileFor(KLEB),
-			Seed:       cfg.Seed + uint64(round)*31337,
+			Seed:       p.Seed + uint64(round)*31337,
 			TargetName: name,
 			NewTarget:  targetFactory(script),
 			NewTool:    toolFactory(KLEB, 0),
-			Config:     monitor.Config{Events: events, Period: cfg.Period, ExcludeKernel: true},
+			Config:     monitor.Config{Events: events, Period: period, ExcludeKernel: true},
 		}
 	}
-	runs, err := runAll(cfg.Workers, specs)
+	runs, err := runAll(p.Workers, specs)
 	if err != nil {
 		return side, err
 	}
-	for round := 0; round < cfg.Rounds; round++ {
+	for round := 0; round < rounds; round++ {
 		run := runs[round]
 		side.LLCRefs += float64(run.Result.Totals[isa.EvLLCRefs])
 		side.LLCMisses += float64(run.Result.Totals[isa.EvLLCMisses])
@@ -106,7 +87,7 @@ func runMeltdownSide(cfg MeltdownConfig, name string, script workload.Script) (M
 			}
 		}
 	}
-	n := float64(cfg.Rounds)
+	n := float64(rounds)
 	side.LLCRefs /= n
 	side.LLCMisses /= n
 	side.Instructions /= n

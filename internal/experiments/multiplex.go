@@ -11,6 +11,7 @@ import (
 	"kleb/internal/ktime"
 	"kleb/internal/monitor"
 	"kleb/internal/session"
+	"kleb/internal/workload"
 )
 
 // The multiplexing-error study quantifies the cost of perf_events time
@@ -21,37 +22,6 @@ import (
 // same mix is split into counter-sized chunks and each chunk is counted
 // exactly in its own run. Under the budget the two agree; past it, perf's
 // totals become extrapolations and drift from the true counts.
-
-// MultiplexConfig parameterizes the event-count sweep.
-type MultiplexConfig struct {
-	// Workload is the monitored program (default WorkloadTriple).
-	Workload Workload
-	// Counts are the programmable-event counts to sweep (default 2,4,6,8 —
-	// two under the 4-counter budget, two past it).
-	Counts []int
-	// Seed roots the per-mix seed derivation.
-	Seed uint64
-	// Workers sizes the scheduler's pool (0 = GOMAXPROCS).
-	Workers int
-	// Period is the sampling interval handed to both tools (default 10ms;
-	// only totals matter here, not the series).
-	Period ktime.Duration
-}
-
-func (c *MultiplexConfig) defaults() {
-	if c.Workload == "" {
-		c.Workload = WorkloadTriple
-	}
-	if len(c.Counts) == 0 {
-		c.Counts = []int{2, 4, 6, 8}
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Period == 0 {
-		c.Period = 10 * ktime.Millisecond
-	}
-}
 
 // multiplexPool is the sweep's event pool, ordered so the under-budget
 // prefixes are unconstrained and the oversubscribed mixes pull in
@@ -112,15 +82,18 @@ type MultiplexResult struct {
 	Rows     []MultiplexRow
 }
 
-// RunMultiplex sweeps the event-count mixes. Each mix runs perf stat once
-// over the full mix plus K-LEB over each 4-event chunk of it, all fanned
-// over one scheduler batch; results are bit-identical at any worker count.
-func RunMultiplex(cfg MultiplexConfig) (*MultiplexResult, error) {
-	cfg.defaults()
-	script, err := scriptFor(cfg.Workload)
-	if err != nil {
-		return nil, err
-	}
+// RunMultiplex sweeps the event-count mixes on the triple-loop matmul:
+// 2, 4, 6 and 8 programmable events, two under the 4-counter budget and
+// two past it. Each mix runs perf stat once over the full mix plus K-LEB
+// over each 4-event chunk of it, all fanned over one scheduler batch;
+// results are bit-identical at any worker count. p.Seed roots the per-mix
+// seed derivation.
+func RunMultiplex(p Params) (*MultiplexResult, error) {
+	// Only totals matter here, not the series, so both tools sample at the
+	// user-tool floor.
+	const period = 10 * ktime.Millisecond
+	counts := []int{2, 4, 6, 8}
+	script := workload.NewTripleLoopMatmul().Script()
 	pool := multiplexPool()
 	prof := ProfileFor(PerfStat)
 
@@ -133,12 +106,9 @@ func RunMultiplex(cfg MultiplexConfig) (*MultiplexResult, error) {
 		chunks []int // spec indices of the K-LEB chunk runs
 	}
 	var specs []session.Spec
-	plans := make([]mixPlan, 0, len(cfg.Counts))
-	for i, n := range cfg.Counts {
-		if n < 1 || n > len(pool) {
-			return nil, fmt.Errorf("experiments: multiplex count %d out of range 1..%d", n, len(pool))
-		}
-		seed := session.DeriveSeed(cfg.Seed, i)
+	plans := make([]mixPlan, 0, len(counts))
+	for i, n := range counts {
+		seed := session.DeriveSeed(p.Seed, i)
 		events := pool[:n]
 		plan := mixPlan{n: n, events: events, perf: len(specs)}
 		specs = append(specs, session.Spec{
@@ -146,7 +116,7 @@ func RunMultiplex(cfg MultiplexConfig) (*MultiplexResult, error) {
 			Seed:      seed,
 			NewTarget: targetFactory(script),
 			NewTool:   toolFactory(PerfStat, 0),
-			Config:    monitor.Config{Events: events, Period: cfg.Period, ExcludeKernel: true},
+			Config:    monitor.Config{Events: events, Period: period, ExcludeKernel: true},
 		})
 		for lo := 0; lo < n; lo += 4 {
 			hi := lo + 4
@@ -161,18 +131,18 @@ func RunMultiplex(cfg MultiplexConfig) (*MultiplexResult, error) {
 				NewTool: func() (monitor.Tool, error) {
 					return kleb.New(), nil
 				},
-				Config: monitor.Config{Events: events[lo:hi], Period: cfg.Period, ExcludeKernel: true},
+				Config: monitor.Config{Events: events[lo:hi], Period: period, ExcludeKernel: true},
 			})
 		}
 		plans = append(plans, plan)
 	}
 
-	runs, err := runAll(cfg.Workers, specs)
+	runs, err := runAll(p.Workers, specs)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &MultiplexResult{Workload: cfg.Workload}
+	res := &MultiplexResult{Workload: WorkloadTriple}
 	for _, plan := range plans {
 		perf := runs[plan.perf].Result
 		exact := make(map[isa.Event]uint64, plan.n)

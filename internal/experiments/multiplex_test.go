@@ -8,7 +8,7 @@ func TestMultiplexCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matmul sweep in -short mode")
 	}
-	res, err := RunMultiplex(MultiplexConfig{})
+	res, err := RunMultiplex(Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,37 +14,20 @@ import (
 
 // OverheadConfig parameterizes the Table II / Table III / Fig 8 study.
 type OverheadConfig struct {
-	// Workload is the monitored program.
+	// Workload is the monitored program (default WorkloadTriple).
 	Workload Workload
-	// Tools are the monitors to compare.
-	Tools []ToolKind
-	// Period is the sampling interval (the paper uses 10ms).
-	Period ktime.Duration
 	// Trials is the number of repetitions per tool (the paper runs 100;
 	// the default regeneration uses fewer for runtime, same statistics).
 	Trials int
 	// Seed bases the per-trial seeds.
 	Seed uint64
-	// Noise adds the background OS-noise daemon to every run.
-	Noise bool
-	// StockKernelOnly forces every tool onto the stock (unpatched) kernel.
-	// Table III requires it: the MKL workload needs the modern OS, so
-	// LiMiT — which only exists as a patch to the legacy kernel — comes
-	// out "n/a" exactly as in the paper.
-	StockKernelOnly bool
 	// Workers sizes the scheduler's pool (0 = GOMAXPROCS).
 	Workers int
 }
 
 func (c *OverheadConfig) defaults() {
-	if c.Period == 0 {
-		c.Period = 10 * ktime.Millisecond
-	}
 	if c.Trials == 0 {
 		c.Trials = 15
-	}
-	if len(c.Tools) == 0 {
-		c.Tools = AllTools()
 	}
 	if c.Workload == "" {
 		c.Workload = WorkloadTriple
@@ -79,23 +62,27 @@ type OverheadResult struct {
 	Rows         []ToolOverhead
 }
 
-// RunOverhead measures per-tool run-time overhead: for each trial seed it
-// runs an unmonitored baseline and one run per tool on the *same* seed and
-// machine profile, then compares execution times. This regenerates
-// Table II (triple loop), Table III (dgemm) and the Fig 8 distributions.
-// The baselines run as one scheduler batch and the monitored trials as a
-// second (tool construction needs the baseline elapsed time to size the
-// instrumented tools' point counts).
+// RunOverhead measures per-tool run-time overhead at the paper's 10ms
+// period: for each trial seed it runs an unmonitored baseline and one run
+// per tool on the *same* seed and machine profile, then compares execution
+// times. This regenerates Table II (triple loop), Table III (dgemm) and the
+// Fig 8 distributions. The baselines run as one scheduler batch and the
+// monitored trials as a second (tool construction needs the baseline
+// elapsed time to size the instrumented tools' point counts).
 func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
+	const period = 10 * ktime.Millisecond
 	cfg.defaults()
 	script, err := scriptFor(cfg.Workload)
 	if err != nil {
 		return nil, err
 	}
-	res := &OverheadResult{Workload: cfg.Workload, Period: cfg.Period, Trials: cfg.Trials}
+	res := &OverheadResult{Workload: cfg.Workload, Period: period, Trials: cfg.Trials}
 
+	// Table III's MKL workload needs the modern OS, so every tool runs the
+	// stock kernel there, and LiMiT — which only exists as a patch to the
+	// legacy kernel — comes out "n/a" exactly as in the paper.
 	profileFor := func(kind ToolKind) machine.Profile {
-		if cfg.StockKernelOnly {
+		if cfg.Workload == WorkloadDgemm {
 			return machine.Nehalem()
 		}
 		return ProfileFor(kind)
@@ -103,9 +90,10 @@ func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
 
 	// Batch 1: baselines per profile (LiMiT's patched machine has its own
 	// timing), one run per trial seed.
+	tools := AllTools()
 	var profiles []machine.Profile
 	seenProf := map[string]bool{}
-	for _, kind := range cfg.Tools {
+	for _, kind := range tools {
 		if p := profileFor(kind); !seenProf[p.Name] {
 			seenProf[p.Name] = true
 			profiles = append(profiles, p)
@@ -114,9 +102,7 @@ func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
 	var baseSpecs []session.Spec
 	for _, prof := range profiles {
 		for trial := 0; trial < cfg.Trials; trial++ {
-			spec := baselineSpec(prof, cfg.Seed+uint64(trial)*7919, script)
-			spec.Noise = cfg.Noise
-			baseSpecs = append(baseSpecs, spec)
+			baseSpecs = append(baseSpecs, baselineSpec(prof, cfg.Seed+uint64(trial)*7919, script))
 		}
 	}
 	baseRuns, err := runAll(cfg.Workers, baseSpecs)
@@ -132,23 +118,22 @@ func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
 
 	// Batch 2: one monitored run per (tool, trial).
 	var specs []session.Spec
-	for _, kind := range cfg.Tools {
+	for _, kind := range tools {
 		for trial := 0; trial < cfg.Trials; trial++ {
 			base := baselines[profileFor(kind).Name][trial]
 			specs = append(specs, session.Spec{
 				Profile:    profileFor(kind),
 				Seed:       cfg.Seed + uint64(trial)*7919,
 				NewTarget:  targetFactory(script),
-				NewTool:    toolFactory(kind, pointsFor(base, cfg.Period)),
-				Config:     monitor.Config{Events: defaultEvents(), Period: cfg.Period, ExcludeKernel: true},
-				Noise:      cfg.Noise,
+				NewTool:    toolFactory(kind, pointsFor(base, period)),
+				Config:     monitor.Config{Events: defaultEvents(), Period: period, ExcludeKernel: true},
 				TargetName: string(cfg.Workload),
 			})
 		}
 	}
 	outs := session.Scheduler{Workers: cfg.Workers}.Run(specs)
 
-	for ki, kind := range cfg.Tools {
+	for ki, kind := range tools {
 		row := ToolOverhead{Tool: kind}
 		var sampleSum float64
 		for trial := 0; trial < cfg.Trials; trial++ {
@@ -186,12 +171,6 @@ func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
 
 	// The Nehalem baseline is the headline number.
 	nb := baselines[profileFor(KLEB).Name]
-	if len(nb) == 0 {
-		for _, runs := range baselines {
-			nb = runs
-			break
-		}
-	}
 	res.BaselineRuns = nb
 	var sum float64
 	for _, d := range nb {

@@ -20,6 +20,14 @@ type Params struct {
 	Workers int
 }
 
+// trials returns p.Trials, or the study's default def when it is unset.
+func (p Params) trials(def int) int {
+	if p.Trials > 0 {
+		return p.Trials
+	}
+	return def
+}
+
 // An Artifact is one distinct study of the evaluation: the names it is run
 // by, how it is titled, and how it regenerates its text artifact.
 type Artifact struct {
@@ -73,8 +81,9 @@ func emit(w io.Writer, res interface{ Render(io.Writer) }, err error) error {
 }
 
 // Registry lists every study once, in the order `experiments all` runs them
-// (DESIGN.md §3 indexes them against the paper). Each entry maps Params onto
-// its runner's configuration.
+// (DESIGN.md §3 indexes them against the paper). Each entry hands Params to
+// its runner, mapped onto the runner's configuration where the study has
+// one.
 func Registry() []Artifact {
 	return []Artifact{
 		{
@@ -82,7 +91,7 @@ func Registry() []Artifact {
 			Title: "Table I / Fig 4 — LINPACK GFLOPS across profiling tools, and its phase behaviour via K-LEB",
 			Paper: "GFLOPS (loss %): none 37.24, K-LEB 37.00 (0.64), perf stat 34.78 (7.08), perf record 36.89 (0.96)",
 			Run: func(p Params, w io.Writer) error {
-				res, err := RunLinpack(LinpackConfig{Trials: p.Trials, Seed: p.Seed, Workers: p.Workers})
+				res, err := RunLinpack(p)
 				return emit(w, res, err)
 			},
 		},
@@ -100,10 +109,7 @@ func Registry() []Artifact {
 			Title: "Table III — % overhead, MKL dgemm (stock kernel: LiMiT n/a)",
 			Paper: "% overhead: K-LEB 1.13, perf stat 7.64, perf record 2.00, PAPI 21.40, LiMiT n/a",
 			Run: func(p Params, w io.Writer) error {
-				res, err := RunOverhead(OverheadConfig{
-					Workload: WorkloadDgemm, Trials: p.Trials, Seed: p.Seed,
-					StockKernelOnly: true, Workers: p.Workers,
-				})
+				res, err := RunOverhead(OverheadConfig{Workload: WorkloadDgemm, Trials: p.Trials, Seed: p.Seed, Workers: p.Workers})
 				return emit(w, res, err)
 			},
 		},
@@ -111,7 +117,7 @@ func Registry() []Artifact {
 			Names: []string{"fig5"},
 			Title: "Fig 5 — Docker image LLC MPKI (lineage tracking, both machines)",
 			Run: func(p Params, w io.Writer) error {
-				res, err := RunDocker(DockerConfig{Seed: p.Seed, BothMachines: true, Workers: p.Workers})
+				res, err := RunDocker(p)
 				return emit(w, res, err)
 			},
 		},
@@ -119,7 +125,7 @@ func Registry() []Artifact {
 			Names: []string{"fig6", "fig7"},
 			Title: "Fig 6/7 — Meltdown vs non-Meltdown counts and 100µs series",
 			Run: func(p Params, w io.Writer) error {
-				res, err := RunMeltdown(MeltdownConfig{Rounds: p.Trials, Seed: p.Seed, Workers: p.Workers})
+				res, err := RunMeltdown(p)
 				return emit(w, res, err)
 			},
 		},
@@ -139,7 +145,7 @@ func Registry() []Artifact {
 			Names: []string{"fig9"},
 			Title: "Fig 9 — % difference in whole-run counts vs K-LEB",
 			Run: func(p Params, w io.Writer) error {
-				res, err := RunAccuracy(AccuracyConfig{Seed: p.Seed, Workers: p.Workers})
+				res, err := RunAccuracy(p)
 				return emit(w, res, err)
 			},
 		},
@@ -187,7 +193,7 @@ func Registry() []Artifact {
 			Names: []string{"suite"},
 			Title: "Characterization fingerprints of the synthetic suite",
 			Run: func(p Params, w io.Writer) error {
-				res, err := RunCharacterize(CharacterizeConfig{Seed: p.Seed, Workers: p.Workers})
+				res, err := RunCharacterize(p)
 				return emit(w, res, err)
 			},
 		},
@@ -211,7 +217,7 @@ func Registry() []Artifact {
 			Names: []string{"multiplex"},
 			Title: "Multiplexing error (§II-B) — perf stat scaled estimates vs exact K-LEB counts",
 			Run: func(p Params, w io.Writer) error {
-				res, err := RunMultiplex(MultiplexConfig{Seed: p.Seed, Workers: p.Workers})
+				res, err := RunMultiplex(p)
 				if err := emit(w, res, err); err != nil {
 					return err
 				}
@@ -223,7 +229,7 @@ func Registry() []Artifact {
 			Names: []string{"taillat"},
 			Title: "Tail latency under monitoring — 3-tier serve workload, bare and under each tool",
 			Run: func(p Params, w io.Writer) error {
-				res, err := RunTailLat(TailLatConfig{Trials: p.Trials, Seed: p.Seed, Workers: p.Workers})
+				res, err := RunTailLat(p)
 				if err := emit(w, res, err); err != nil {
 					return err
 				}
@@ -251,7 +257,7 @@ func Registry() []Artifact {
 			Title: "Fault-plan chaos sweep: fails if a run hangs or loses samples unaccounted",
 			Gate:  true,
 			Run: func(p Params, w io.Writer) error {
-				res, err := RunChaos(ChaosConfig{Seeds: p.Trials, BaseSeed: p.Seed, Workers: p.Workers})
+				res, err := RunChaos(p)
 				if err := emit(w, res, err); err != nil {
 					return err
 				}

@@ -7,14 +7,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"kleb/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/<name>.golden from each registry entry's 1-worker render")
 
 // goldenParams is the configuration every registry entry is pinned at: 3
-// trials keeps the legacy-interpreter pass CI-sized.
+// trials keeps the race-enabled CI pass sized.
 var goldenParams = Params{Seed: 1, Trials: 3}
 
 // renderAt renders a at goldenParams on the given pool size.
@@ -43,8 +41,6 @@ func TestArtifactGoldens(t *testing.T) {
 	}
 	for _, a := range Registry() {
 		t.Run(a.Names[0], func(t *testing.T) {
-			// Safe: the subtests finish before the next top-level test,
-			// so none overlaps the legacy pass's process-wide switch.
 			t.Parallel()
 			serial := renderAt(t, a, 1)
 			if *updateGolden {
@@ -60,34 +56,6 @@ func TestArtifactGoldens(t *testing.T) {
 				if got := renderAt(t, a, workers); !bytes.Equal(got, serial) {
 					t.Errorf("%d-worker artifact differs from serial run.\n--- got ---\n%s--- want ---\n%s", workers, got, serial)
 				}
-			}
-		})
-	}
-}
-
-// TestCompiledMatchesLegacyExec renders every registry entry under the
-// legacy per-step interpreter and requires the golden the compiled path
-// is pinned to (DESIGN.md §13). This is the proof obligation behind every
-// batching shortcut the compiled path takes: memo replays, run-length
-// pricing and idle fast-forward may only ever change wall-clock time,
-// never a simulated observable.
-func TestCompiledMatchesLegacyExec(t *testing.T) {
-	if testing.Short() {
-		t.Skip("legacy interpreter runs in -short mode")
-	}
-	if workload.LegacyExec() {
-		t.Fatal("legacy exec already on at test entry")
-	}
-	workload.SetLegacyExec(true)
-	defer workload.SetLegacyExec(false)
-	for _, a := range Registry() {
-		t.Run(a.Names[0], func(t *testing.T) {
-			want, err := os.ReadFile(goldenPath(a))
-			if err != nil {
-				t.Fatalf("missing golden (regenerate with -run ArtifactGoldens -update): %v", err)
-			}
-			if got := renderAt(t, a, 1); !bytes.Equal(got, want) {
-				t.Errorf("legacy interpreter differs from the compiled golden.\n--- legacy ---\n%s--- compiled ---\n%s", got, want)
 			}
 		})
 	}
@@ -149,6 +117,28 @@ func TestRenderRejectsNegativeTrials(t *testing.T) {
 		}
 		if buf.Len() != 0 {
 			t.Errorf("%s: wrote %d bytes before rejecting", a.Names[0], buf.Len())
+		}
+	}
+}
+
+// TestSeedZeroIsASeed: Render's bytes depend on p.Seed, so seed 0 must give
+// a different artifact from seed 1 rather than being read as "unset" — the
+// studies that derive per-run seeds from p.Seed included.
+func TestSeedZeroIsASeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three studies twice in -short mode")
+	}
+	for _, name := range []string{"multiplex", "taillat", "chaos"} {
+		a, _ := Lookup(name)
+		var zero, one bytes.Buffer
+		if err := a.Render(Params{Seed: 0, Trials: 1}, &zero); err != nil {
+			t.Errorf("%s at seed 0: %v", name, err)
+		}
+		if err := a.Render(Params{Seed: 1, Trials: 1}, &one); err != nil {
+			t.Errorf("%s at seed 1: %v", name, err)
+		}
+		if bytes.Equal(zero.Bytes(), one.Bytes()) {
+			t.Errorf("%s renders the same bytes at seed 0 and seed 1", name)
 		}
 	}
 }

@@ -27,47 +27,9 @@ import (
 // (telemetry.ExactQuantiles), not log2-bucketed: the effects of interest
 // are far below the Histogram's factor-of-two resolution.
 
-// TailLatConfig parameterizes the study.
-type TailLatConfig struct {
-	// Tools are the monitors to compare (default all five).
-	Tools []ToolKind
-	// Period is the sampling interval (default 10ms, the user-tool floor).
-	Period ktime.Duration
-	// Trials is the number of seeds per tool (default 3).
-	Trials int
-	// Seed roots the per-trial seed derivation.
-	Seed uint64
-	// Users is the closed-loop scenario's population (default 2 million —
-	// the generator keeps only an aggregate think count, so the population
-	// is free).
-	Users uint64
-	// Think is the closed-loop mean think time (default 5300s, sized so
-	// the offered rate matches the open-loop scenario's).
-	Think ktime.Duration
-	// Workers sizes the scheduler's pool (0 = GOMAXPROCS).
-	Workers int
-}
-
-func (c *TailLatConfig) defaults() {
-	if len(c.Tools) == 0 {
-		c.Tools = AllTools()
-	}
-	if c.Period == 0 {
-		c.Period = 10 * ktime.Millisecond
-	}
-	if c.Trials == 0 {
-		c.Trials = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Users == 0 {
-		c.Users = 2_000_000
-	}
-	if c.Think == 0 {
-		c.Think = 5300 * ktime.Second
-	}
-}
+// tailLatPeriod is every tool's sampling interval: 10ms, the user-tool
+// floor.
+const tailLatPeriod = 10 * ktime.Millisecond
 
 // TailLatRow is one monitor's (or baseline's) aggregated outcome within a
 // scenario: percentiles over the merged per-trial latency populations.
@@ -107,27 +69,36 @@ type TailLatResult struct {
 	Scenarios []TailLatScenario
 }
 
-// RunTailLat runs both traffic scenarios: for each trial seed, one bare run
-// per machine profile and one monitored run per tool on the same seed, all
-// serving the identical (paired) request sequence. Baselines run as the
-// first scheduler batch because the instrumented tools' strategic-point
-// counts are sized from the bare elapsed time (as in RunOverhead).
-func RunTailLat(cfg TailLatConfig) (*TailLatResult, error) {
-	cfg.defaults()
-	res := &TailLatResult{Period: cfg.Period, Trials: cfg.Trials}
+// RunTailLat runs both traffic scenarios under all five tools: for each of
+// p.Trials trial seeds (default 3), one bare run per machine profile and
+// one monitored run per tool on the same seed, all serving the identical
+// (paired) request sequence. Baselines run as the first scheduler batch
+// because the instrumented tools' strategic-point counts are sized from the
+// bare elapsed time (as in RunOverhead).
+func RunTailLat(p Params) (*TailLatResult, error) {
+	const (
+		// The closed-loop population: the generator keeps only an
+		// aggregate think count, so the population is free.
+		users = 2_000_000
+		// The closed-loop mean think time, sized so the offered rate
+		// matches the open-loop scenario's.
+		think = 5300 * ktime.Second
+	)
+	p.Trials = p.trials(3)
+	res := &TailLatResult{Period: tailLatPeriod, Trials: p.Trials}
 
 	open := workload.NewServe()
-	closed := workload.NewServe().ClosedLoop(cfg.Users, cfg.Think)
+	closed := workload.NewServe().ClosedLoop(users, think)
 	scenarios := []struct {
 		name  string
 		load  string
 		model workload.Serve
 	}{
 		{"open-loop", fmt.Sprintf("Poisson %g req/s", open.ArrivalsPerSec), open},
-		{"closed-loop", fmt.Sprintf("%d users, %v mean think", cfg.Users, cfg.Think), closed},
+		{"closed-loop", fmt.Sprintf("%d users, %v mean think", users, think), closed},
 	}
 	for _, sc := range scenarios {
-		table, err := runTailLatScenario(cfg, sc.model)
+		table, err := runTailLatScenario(p, sc.model)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: taillat %s: %w", sc.name, err)
 		}
@@ -148,33 +119,34 @@ func tailTarget(model workload.Serve, seed uint64, slot *[]*workload.ServeProgra
 	}
 }
 
-func runTailLatScenario(cfg TailLatConfig, model workload.Serve) (*TailLatScenario, error) {
-	// The profiles in play: Nehalem, plus LiMiT's patched machine if LiMiT
-	// runs (its kernel is slower, so it gets its own baseline).
+func runTailLatScenario(p Params, model workload.Serve) (*TailLatScenario, error) {
+	// The profiles in play: Nehalem, plus LiMiT's patched machine (its
+	// kernel is slower, so it gets its own baseline).
+	tools := AllTools()
 	var profiles []machine.Profile
 	seen := map[string]bool{}
-	for _, kind := range cfg.Tools {
-		if p := ProfileFor(kind); !seen[p.Name] {
-			seen[p.Name] = true
-			profiles = append(profiles, p)
+	for _, kind := range tools {
+		if prof := ProfileFor(kind); !seen[prof.Name] {
+			seen[prof.Name] = true
+			profiles = append(profiles, prof)
 		}
 	}
 
 	// Batch 1: bare baselines, one per (profile, trial).
-	baseProgs := make([]*workload.ServeProgram, len(profiles)*cfg.Trials)
+	baseProgs := make([]*workload.ServeProgram, len(profiles)*p.Trials)
 	var baseSpecs []session.Spec
 	for pi, prof := range profiles {
-		for trial := 0; trial < cfg.Trials; trial++ {
-			ix := pi*cfg.Trials + trial
+		for trial := 0; trial < p.Trials; trial++ {
+			ix := pi*p.Trials + trial
 			baseSpecs = append(baseSpecs, session.Spec{
 				Profile:    prof,
-				Seed:       session.DeriveSeed(cfg.Seed, trial),
+				Seed:       session.DeriveSeed(p.Seed, trial),
 				TargetName: model.Name,
-				NewTarget:  tailTarget(model, session.DeriveSeed(cfg.Seed, trial), &baseProgs, ix),
+				NewTarget:  tailTarget(model, session.DeriveSeed(p.Seed, trial), &baseProgs, ix),
 			})
 		}
 	}
-	baseRuns, err := runAll(cfg.Workers, baseSpecs)
+	baseRuns, err := runAll(p.Workers, baseSpecs)
 	if err != nil {
 		return nil, err
 	}
@@ -185,12 +157,12 @@ func runTailLatScenario(cfg TailLatConfig, model workload.Serve) (*TailLatScenar
 		row := TailLatRow{Tool: "bare", Machine: prof.Name}
 		var lat telemetry.ExactQuantiles
 		var tput float64
-		for trial := 0; trial < cfg.Trials; trial++ {
-			st := baseProgs[pi*cfg.Trials+trial].Stats()
+		for trial := 0; trial < p.Trials; trial++ {
+			st := baseProgs[pi*p.Trials+trial].Stats()
 			foldStats(&row, &lat, st)
 			tput += st.Throughput()
 		}
-		fillRow(&row, &lat, tput, cfg.Trials)
+		fillRow(&row, &lat, tput, p.Trials)
 		bareP99[prof.Name] = row.P99
 		table.Rows = append(table.Rows, row)
 	}
@@ -198,36 +170,36 @@ func runTailLatScenario(cfg TailLatConfig, model workload.Serve) (*TailLatScenar
 	// Batch 2: one monitored run per (tool, trial), paired on the trial
 	// seed. Strategic-point counts match what a timer tool at Period
 	// collects over the same-profile bare elapsed time.
-	toolProgs := make([]*workload.ServeProgram, len(cfg.Tools)*cfg.Trials)
+	toolProgs := make([]*workload.ServeProgram, len(tools)*p.Trials)
 	profIx := map[string]int{}
 	for pi, prof := range profiles {
 		profIx[prof.Name] = pi
 	}
 	var specs []session.Spec
-	for ki, kind := range cfg.Tools {
+	for ki, kind := range tools {
 		prof := ProfileFor(kind)
-		for trial := 0; trial < cfg.Trials; trial++ {
-			base := baseRuns[profIx[prof.Name]*cfg.Trials+trial].Elapsed
-			ix := ki*cfg.Trials + trial
+		for trial := 0; trial < p.Trials; trial++ {
+			base := baseRuns[profIx[prof.Name]*p.Trials+trial].Elapsed
+			ix := ki*p.Trials + trial
 			specs = append(specs, session.Spec{
 				Profile:    prof,
-				Seed:       session.DeriveSeed(cfg.Seed, trial),
+				Seed:       session.DeriveSeed(p.Seed, trial),
 				TargetName: model.Name,
-				NewTarget:  tailTarget(model, session.DeriveSeed(cfg.Seed, trial), &toolProgs, ix),
-				NewTool:    toolFactory(kind, pointsFor(base, cfg.Period)),
-				Config:     monitor.Config{Events: defaultEvents(), Period: cfg.Period, ExcludeKernel: true},
+				NewTarget:  tailTarget(model, session.DeriveSeed(p.Seed, trial), &toolProgs, ix),
+				NewTool:    toolFactory(kind, pointsFor(base, tailLatPeriod)),
+				Config:     monitor.Config{Events: defaultEvents(), Period: tailLatPeriod, ExcludeKernel: true},
 			})
 		}
 	}
-	outs := session.Scheduler{Workers: cfg.Workers}.Run(specs)
+	outs := session.Scheduler{Workers: p.Workers}.Run(specs)
 
-	for ki, kind := range cfg.Tools {
+	for ki, kind := range tools {
 		prof := ProfileFor(kind)
 		row := TailLatRow{Tool: string(kind), Machine: prof.Name}
 		var lat telemetry.ExactQuantiles
 		var tput float64
-		for trial := 0; trial < cfg.Trials; trial++ {
-			o := outs[ki*cfg.Trials+trial]
+		for trial := 0; trial < p.Trials; trial++ {
+			o := outs[ki*p.Trials+trial]
 			if o.Err != nil {
 				// A tool that cannot run this configuration fails on its
 				// first trial; any later failure is a real error.
@@ -237,12 +209,12 @@ func runTailLatScenario(cfg TailLatConfig, model workload.Serve) (*TailLatScenar
 				}
 				return nil, o.Err
 			}
-			st := toolProgs[ki*cfg.Trials+trial].Stats()
+			st := toolProgs[ki*p.Trials+trial].Stats()
 			foldStats(&row, &lat, st)
 			tput += st.Throughput()
 		}
 		if row.Unsupported == "" {
-			fillRow(&row, &lat, tput, cfg.Trials)
+			fillRow(&row, &lat, tput, p.Trials)
 			row.DeltaP99 = int64(row.P99) - int64(bareP99[prof.Name])
 		}
 		table.Rows = append(table.Rows, row)

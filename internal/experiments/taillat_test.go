@@ -9,7 +9,7 @@ func TestTailLatCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full serve study in -short mode")
 	}
-	res, err := RunTailLat(TailLatConfig{})
+	res, err := RunTailLat(Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,8 @@ import (
 type EventSpec struct {
 	// Event is the hardware event to count.
 	Event isa.Event
-	// ExcludeKernel/ExcludeUser select the privilege filter.
+	// ExcludeKernel drops kernel-mode counts; user mode always counts.
 	ExcludeKernel bool
-	ExcludeUser   bool
 	// SamplePeriod enables sampling mode with a fixed overflow period.
 	SamplePeriod uint64
 	// SampleFreq enables frequency-mode sampling: the kernel adjusts the
@@ -304,10 +303,7 @@ func (ps *PerfSubsystem) schedInCtx(p *Process) {
 		switch a.Class {
 		case pmu.CtrProgrammable:
 			enc, _ := table.EncodingFor(e.spec.Event)
-			flags := uint64(pmu.SelEn)
-			if !e.spec.ExcludeUser {
-				flags |= pmu.SelUsr
-			}
+			flags := pmu.SelEn | pmu.SelUsr
 			if !e.spec.ExcludeKernel {
 				flags |= pmu.SelOS
 			}
@@ -330,10 +326,7 @@ func (ps *PerfSubsystem) schedInCtx(p *Process) {
 			e.lastRead = init
 			global |= 1 << uint(a.Counter)
 		case pmu.CtrFixed:
-			var nib uint64
-			if !e.spec.ExcludeUser {
-				nib |= pmu.FixedUsr
-			}
+			nib := pmu.FixedUsr
 			if !e.spec.ExcludeKernel {
 				nib |= pmu.FixedOS
 			}

@@ -40,10 +40,9 @@ const maxStatusFailures = 8
 // (or a module bug) turning the final-drain loop into an infinite poll.
 const maxFutileDrains = 64
 
-// DefaultPollDeadline is how long the controller tolerates a running module
-// making no sampling progress before aborting; Controller.PollDeadline
-// overrides it.
-const DefaultPollDeadline = 10 * ktime.Second
+// PollDeadline is how long the controller tolerates a running module making
+// no sampling progress before aborting.
+const PollDeadline = 10 * ktime.Second
 
 // retryBackoff is the sleep before retry number attempt (1-based):
 // exponential from 1ms, capped at 32ms so retries stay well inside one
@@ -69,11 +68,6 @@ func retryBackoff(attempt int) ktime.Duration {
 type Controller struct {
 	Cfg           ModuleConfig
 	DrainInterval ktime.Duration
-
-	// PollDeadline bounds how long the controller waits for sampling
-	// progress while the module reports itself running (0 =
-	// DefaultPollDeadline).
-	PollDeadline ktime.Duration
 
 	// LogPath overrides where the CSV log lands in the simulated filesystem
 	// ("" = DefaultLogPath).
@@ -146,13 +140,6 @@ func (c *Controller) FaultError() error {
 		return c.Err
 	}
 	return c.WriteErr
-}
-
-func (c *Controller) pollDeadline() ktime.Duration {
-	if c.PollDeadline > 0 {
-		return c.PollDeadline
-	}
-	return DefaultPollDeadline
 }
 
 // markDegraded flags the run as partial-data, emitting the telemetry event
@@ -293,9 +280,9 @@ func (c *Controller) Next(k *kernel.Kernel, p *kernel.Process) kernel.Op {
 		if st.Samples > c.lastSeen {
 			c.lastSeen = st.Samples
 			c.lastSeenAt = k.Now()
-		} else if k.Now().Sub(c.lastSeenAt) > c.pollDeadline() {
+		} else if k.Now().Sub(c.lastSeenAt) > PollDeadline {
 			return c.abort(k, fmt.Errorf(
-				"kleb: module running but no sampling progress for %v", c.pollDeadline()))
+				"kleb: module running but no sampling progress for %v", PollDeadline))
 		}
 		c.state = ctlDrain
 		return kernel.OpSleep{D: c.DrainInterval}

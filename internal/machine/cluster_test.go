@@ -1,12 +1,14 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 
 	"kleb/internal/cache"
 	"kleb/internal/isa"
 	"kleb/internal/kernel"
 	"kleb/internal/ktime"
+	"kleb/internal/pmu"
 )
 
 // busyProg runs blocks over a footprint then exits.
@@ -187,4 +189,120 @@ func TestClusterRelease(t *testing.T) {
 	}
 	a.Release()
 	b.Release()
+}
+
+// runEveryWindow is Cluster.Run without the idle fast-forward: the
+// reference that visits every lockstep window. It also counts the windows
+// after which idleUntil allowed Run's jump.
+func runEveryWindow(c *Cluster, quantum, limit ktime.Duration) (jumps int, err error) {
+	var deadline ktime.Time
+	if limit > 0 {
+		deadline = ktime.Time(limit)
+	}
+	for t := ktime.Time(quantum); ; t = t.Add(quantum) {
+		anyAlive := false
+		for _, m := range c.cores {
+			if m.Kernel().Idle() {
+				continue
+			}
+			anyAlive = true
+			if err := m.Kernel().RunUntil(t); err != nil {
+				return jumps, err
+			}
+		}
+		if !anyAlive || (deadline > 0 && t >= deadline) {
+			return jumps, nil
+		}
+		if next, ok := c.idleUntil(); ok && next > t.Add(quantum) {
+			jumps++
+		}
+	}
+}
+
+// sleeper alternates a short block with a long high-resolution sleep, so
+// its core spends most windows idle.
+func sleeper(rounds int, sleep ktime.Duration, base uint64) kernel.Program {
+	i := 0
+	return kernel.ProgramFunc(func(k *kernel.Kernel, p *kernel.Process) kernel.Op {
+		if i >= 2*rounds {
+			return kernel.OpExit{}
+		}
+		i++
+		if i%2 == 0 {
+			return kernel.OpSleep{D: sleep, HR: true}
+		}
+		return kernel.OpExec{Block: isa.Block{
+			Instr: 300_000, Loads: 90_000, Stores: 30_000, Branches: 20_000,
+			Mem:  isa.MemPattern{Base: base, Footprint: 2 << 20, Stride: 8, RandomFrac: 0.2},
+			Priv: isa.User,
+		}}
+	})
+}
+
+// TestIdleFastForwardMatchesEveryWindow: Cluster.Run's idle jump must leave
+// every observable exactly as stepping each lockstep window would — per
+// core clock, idle time and PMU register file, and per process runtimes —
+// both when the cores run to completion and when a deadline cuts them off.
+func TestIdleFastForwardMatchesEveryWindow(t *testing.T) {
+	type observed struct {
+		Now             []ktime.Time
+		Idle            []ktime.Duration
+		PMU             []string
+		Run, User, Kern []ktime.Duration
+		Exited          []bool
+	}
+	boot := func() (*Cluster, []*kernel.Process) {
+		c := BootCluster(Nehalem(), 11, 2)
+		var procs []*kernel.Process
+		for i, sleep := range []ktime.Duration{3370 * ktime.Microsecond, 5110 * ktime.Microsecond} {
+			m := c.Cores()[i]
+			pm := m.Core().PMU()
+			enc, _ := m.Profile().Events.EncodingFor(isa.EvLoads)
+			for _, w := range []struct {
+				addr uint32
+				val  uint64
+			}{
+				{pmu.MSRPerfEvtSel0, enc.Sel(pmu.SelUsr | pmu.SelOS | pmu.SelEn)},
+				{pmu.MSRFixedCtrCtrl, (pmu.FixedUsr | pmu.FixedOS) * 0x111}, // all three fixed counters
+				{pmu.MSRGlobalCtrl, 1 | 7<<32},                              // PMC0 and the fixed counters
+			} {
+				if err := pm.WriteMSR(w.addr, w.val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			procs = append(procs, m.Kernel().Spawn("sleeper", sleeper(12, sleep, uint64(i+1)<<28)))
+		}
+		return c, procs
+	}
+	observe := func(c *Cluster, procs []*kernel.Process) observed {
+		var o observed
+		for i, m := range c.Cores() {
+			o.Now = append(o.Now, m.Kernel().Now())
+			o.Idle = append(o.Idle, m.Kernel().IdleTime())
+			o.PMU = append(o.PMU, m.Core().PMU().Snapshot())
+			p := procs[i]
+			o.Run = append(o.Run, p.Runtime())
+			o.User = append(o.User, p.UserTime())
+			o.Kern = append(o.Kern, p.KernelTime())
+			o.Exited = append(o.Exited, p.Exited())
+		}
+		return o
+	}
+	for _, limit := range []ktime.Duration{0, 31 * ktime.Millisecond} {
+		fast, fastProcs := boot()
+		if err := fast.Run(0, limit); err != nil {
+			t.Fatal(err)
+		}
+		ref, refProcs := boot()
+		jumps, err := runEveryWindow(ref, DefaultQuantum, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jumps == 0 {
+			t.Errorf("limit %v: the idle jump never applied, so nothing was compared", limit)
+		}
+		if got, want := observe(fast, fastProcs), observe(ref, refProcs); !reflect.DeepEqual(got, want) {
+			t.Errorf("limit %v: fast-forwarded run differs from the every-window run:\nfast  %+v\nwant  %+v", limit, got, want)
+		}
+	}
 }

@@ -21,8 +21,6 @@ type ClusterSpec struct {
 	// inject a neighbour, continue); when nil the cluster runs to
 	// completion.
 	Drive func(c *machine.Cluster) error
-	// Window is the lockstep co-simulation window (0 = default).
-	Window ktime.Duration
 	// Limit caps simulated time (0 = none).
 	Limit ktime.Duration
 }
@@ -46,7 +44,7 @@ func RunCluster(spec ClusterSpec) (*machine.Cluster, error) {
 		}
 		return c, nil
 	}
-	if err := c.Run(spec.Window, spec.Limit); err != nil {
+	if err := c.Run(machine.DefaultQuantum, spec.Limit); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -67,16 +67,6 @@ func Suite() []Benchmark {
 	}
 }
 
-// BenchmarkByName finds a suite member.
-func BenchmarkByName(name string) (Benchmark, bool) {
-	for _, b := range Suite() {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return Benchmark{}, false
-}
-
 // Script materializes the benchmark.
 func (b Benchmark) Script() Script {
 	return Script{

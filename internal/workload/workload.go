@@ -89,36 +89,18 @@ func (s Script) TotalFPOps() uint64 {
 	return t
 }
 
-// legacyExec selects the per-step interpreter instead of compiled streams
-// for every Program built after the switch (the -legacy-exec flag). Both
-// modes produce byte-identical artifacts — the legacy interpreter exists as
-// the differential-testing oracle for the compiled path (DESIGN.md §13).
-var legacyExec bool
-
-// SetLegacyExec switches subsequently built ScriptPrograms between the
-// compiled-stream executor (false, the default) and the legacy per-step
-// interpreter (true). Programs already built keep their mode. Not safe to
-// call concurrently with Program; flip it between runs.
-func SetLegacyExec(v bool) { legacyExec = v }
-
-// LegacyExec reports the current executor mode.
-func LegacyExec() bool { return legacyExec }
-
-// Program returns a fresh kernel program executing the script once. Unless
-// SetLegacyExec(true) is in effect the script is lowered to its compiled
-// stream, which lets the kernel batch steady-phase blocks (it implements
-// kernel.BlockStream).
+// Program returns a fresh kernel program executing the script once. The
+// script is lowered to its compiled stream, which lets the kernel batch
+// steady-phase blocks (it implements kernel.BlockStream).
 func (s Script) Program() *ScriptProgram {
 	sp := &ScriptProgram{script: s}
-	if !legacyExec {
-		sp.stream, sp.phaseOf = s.compile()
-	}
+	sp.stream, sp.phaseOf = s.compile()
 	return sp
 }
 
 // Compile lowers the script to its flat run-length block stream: per phase,
 // one Run of identical full blocks plus one single-copy Run for the
-// remainder. The emission order is exactly the per-step interpreter's.
+// remainder.
 func (s Script) Compile() isa.CompiledStream {
 	cs, _ := s.compile()
 	return cs
@@ -154,17 +136,12 @@ func (s Script) compile() (isa.CompiledStream, []int) {
 type ScriptProgram struct {
 	script Script
 
-	// Compiled mode (the default): the script lowered to a run-length block
-	// stream, with phaseOf mapping each run back to its phase for tracing.
-	// An empty stream selects the legacy per-step interpreter.
+	// The script lowered to a run-length block stream, with phaseOf mapping
+	// each run back to its phase for tracing.
 	stream  isa.CompiledStream
 	phaseOf []int
 	runIx   int
 	runLeft uint64 // unemitted copies of the current run
-
-	// Legacy-interpreter walk state.
-	phase     int
-	remaining uint64
 
 	started bool
 
@@ -189,22 +166,12 @@ var _ kernel.BlockStream = (*ScriptProgram)(nil)
 // Script returns the underlying script.
 func (sp *ScriptProgram) Script() Script { return sp.script }
 
-// compiled reports whether the program runs its compiled stream.
-func (sp *ScriptProgram) compiled() bool { return len(sp.stream.Runs) > 0 }
-
 // PhaseName returns the name of the phase currently executing.
 func (sp *ScriptProgram) PhaseName() string {
-	ix := sp.phase
-	if sp.compiled() {
-		if sp.runIx >= len(sp.phaseOf) {
-			return ""
-		}
-		ix = sp.phaseOf[sp.runIx]
+	if sp.runIx >= len(sp.phaseOf) {
+		return ""
 	}
-	if ix < len(sp.script.Phases) {
-		return sp.script.Phases[ix].Name
-	}
-	return ""
+	return sp.script.Phases[sp.phaseOf[sp.runIx]].Name
 }
 
 // Next implements kernel.Program.
@@ -219,38 +186,16 @@ func (sp *ScriptProgram) Next(k *kernel.Kernel, p *kernel.Process) kernel.Op {
 	}
 	if !sp.started {
 		sp.started = true
-		if sp.compiled() {
+		if len(sp.stream.Runs) > 0 {
 			sp.runLeft = sp.stream.Runs[0].Count
-		} else if len(sp.script.Phases) > 0 {
-			sp.remaining = sp.script.Phases[0].TotalInstr
 		}
 		if len(sp.Prelude) > 0 {
 			sp.queue = append(sp.queue, sp.Prelude...)
 			return sp.nextQueued()
 		}
 	}
-	if sp.compiled() {
-		return sp.nextCompiled(k, p)
-	}
-	for sp.phase < len(sp.script.Phases) && sp.remaining == 0 {
-		sp.phase++
-		if sp.phase < len(sp.script.Phases) {
-			sp.remaining = sp.script.Phases[sp.phase].TotalInstr
-		}
-	}
-	if sp.phase >= len(sp.script.Phases) {
-		return sp.finish(k, p)
-	}
-	ph := sp.script.Phases[sp.phase]
-	blk := ph.blockAt(sp.remaining)
-	sp.remaining -= blk.Instr
-	return sp.emit(k, p, blk)
-}
-
-// nextCompiled is Next's compiled-stream walk: identical emission order to
-// the interpreter above, but positioned by (run, copies-left) so PeekRun
-// can answer "how many identical blocks follow?" in O(1).
-func (sp *ScriptProgram) nextCompiled(k *kernel.Kernel, p *kernel.Process) kernel.Op {
+	// Positioned by (run, copies-left) so PeekRun can answer "how many
+	// identical blocks follow?" in O(1). An empty stream finishes at once.
 	for sp.runIx < len(sp.stream.Runs) && sp.runLeft == 0 {
 		sp.runIx++
 		if sp.runIx < len(sp.stream.Runs) {
@@ -292,7 +237,7 @@ func (sp *ScriptProgram) finish(k *kernel.Kernel, p *kernel.Process) kernel.Op {
 // boundaries, and the copy whose emission would trip the periodic hook,
 // all of which must flow through a real Next call.
 func (sp *ScriptProgram) PeekRun() (isa.Block, uint64) {
-	if !sp.compiled() || !sp.started || sp.done || len(sp.queue) > 0 ||
+	if !sp.started || sp.done || len(sp.queue) > 0 ||
 		sp.runIx >= len(sp.stream.Runs) || sp.runLeft == 0 {
 		return isa.Block{}, 0
 	}

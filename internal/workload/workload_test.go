@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"kleb/internal/cache"
@@ -323,12 +325,6 @@ func TestSuiteCatalog(t *testing.T) {
 		if s.TotalInstr() == 0 || s.Name != b.Name {
 			t.Errorf("%s: bad script", b.Name)
 		}
-		if _, ok := BenchmarkByName(b.Name); !ok {
-			t.Errorf("%s: lookup failed", b.Name)
-		}
-	}
-	if _, ok := BenchmarkByName("no-such-bench"); ok {
-		t.Error("bogus benchmark resolved")
 	}
 }
 
@@ -342,5 +338,143 @@ func TestSuiteRegionsDisjoint(t *testing.T) {
 			t.Errorf("%s and %s share region base %#x", b.Name, prev, base)
 		}
 		bases[base] = b.Name
+	}
+}
+
+// phaseWalk is the per-phase reference the compiled stream replaced: each
+// phase emits blockAt(remaining) until its budget is spent. It calls yield
+// once per block, in emission order.
+func phaseWalk(s Script, yield func(isa.Block)) {
+	for _, ph := range s.Phases {
+		for rem := ph.TotalInstr; rem > 0; {
+			b := ph.blockAt(rem)
+			yield(b)
+			rem -= b.Instr
+		}
+	}
+}
+
+// checkMatchesWalk drives s.Program() through Next alone and requires
+// exactly the reference walk's blocks, then an exit.
+func checkMatchesWalk(t *testing.T, s Script) {
+	t.Helper()
+	sp := s.Program()
+	n, bad := 0, false
+	phaseWalk(s, func(want isa.Block) {
+		if bad {
+			return
+		}
+		if ex, ok := sp.Next(nil, nil).(kernel.OpExec); !ok || ex.Block != want {
+			t.Errorf("%s: block %d is %+v, the phase walk emits %+v", s.Name, n, ex.Block, want)
+			bad = true
+		}
+		n++
+	})
+	if _, ok := sp.Next(nil, nil).(kernel.OpExit); !ok && !bad {
+		t.Errorf("%s: program continues after the phase walk's %d blocks", s.Name, n)
+	}
+}
+
+// TestCompiledStreamMatchesPhaseWalk: every script the package builds, and
+// the phase shapes at the edges of the compiler's arithmetic, emit the same
+// block sequence from the compiled stream as from the per-phase walk.
+func TestCompiledStreamMatchesPhaseWalk(t *testing.T) {
+	m, hb := NewMeltdown(), NewHeartbleed()
+	scripts := []Script{
+		NewTripleLoopMatmul().Script(),
+		NewDgemmMatmul().Script(),
+		NewLinpack(5000).Script(),
+		m.VictimScript(), m.AttackScript(),
+		hb.ServerScript(), hb.AttackScript(),
+		NewServe().Script(),
+		Synthetic{TotalInstr: 1_000_000}.Script(),
+	}
+	for _, img := range Images() {
+		scripts = append(scripts, img.Script())
+	}
+	for _, b := range Suite() {
+		scripts = append(scripts, b.Script())
+	}
+	mem := isa.MemPattern{Base: 0x1000, Footprint: 4096, Stride: 8}
+	scripts = append(scripts,
+		Script{Name: "empty"},
+		Script{Name: "zero-budget", Phases: []Phase{{TotalInstr: 0, BlockInstr: 1000, Mem: mem}}},
+		Script{Name: "default-block", Phases: []Phase{{TotalInstr: 250_000, LoadsPerK: 100, Mem: mem}}},
+		Script{Name: "below-one-block", Phases: []Phase{{TotalInstr: 700, BlockInstr: 1000, StoresPerK: 30, Mem: mem}}},
+		Script{Name: "exact-multiple", Phases: []Phase{{TotalInstr: 3000, BlockInstr: 1000, BranchesPerK: 50, Mem: mem}}},
+		Script{Name: "mixed", Phases: []Phase{
+			{TotalInstr: 0, BlockInstr: 1000, Mem: mem},
+			{TotalInstr: 2500, BlockInstr: 1000, LoadsPerK: 7, Mem: mem},
+			{TotalInstr: 0, Mem: mem},
+			{TotalInstr: 999, BlockInstr: 1000, Mem: mem},
+			{TotalInstr: 4000, BlockInstr: 1000, FlushesPerK: 3, Mem: mem},
+		}},
+	)
+	for _, s := range scripts {
+		checkMatchesWalk(t, s)
+	}
+}
+
+// TestEmptyStreamFinishes: a script that emits no block still runs its
+// prelude, fires the final hook, and exits.
+func TestEmptyStreamFinishes(t *testing.T) {
+	s := Script{Phases: []Phase{{Name: "idle", TotalInstr: 0, BlockInstr: 1000}}}
+	sp := s.Program()
+	mark := func(name string) kernel.Op { return kernel.OpSyscall{Name: name} }
+	sp.Instrument([]kernel.Op{mark("init")}, 1000, func(*kernel.Kernel, *kernel.Process) []kernel.Op {
+		return []kernel.Op{mark("hook")}
+	})
+	var got []string
+	for i := 0; i < 4; i++ {
+		switch op := sp.Next(nil, nil).(type) {
+		case kernel.OpSyscall:
+			got = append(got, op.Name)
+		case kernel.OpExit:
+			got = append(got, "exit")
+		default:
+			t.Fatalf("op %d: unexpected %T", i, op)
+		}
+	}
+	if want := "init hook exit exit"; strings.Join(got, " ") != want {
+		t.Errorf("ops %q, want %q", got, want)
+	}
+}
+
+// TestHookCapOnBlockMultiple pins PeekRun's hook cap where it is tight:
+// with HookEvery exactly k blocks, the hook must fire on block k, 2k, …
+// whether the stream is stepped by Next alone or consumed greedily through
+// PeekRun/ConsumeRun the way the kernel batches it.
+func TestHookCapOnBlockMultiple(t *testing.T) {
+	const k, blocks = 5, 17
+	s := Script{Phases: []Phase{{
+		TotalInstr: blocks * 1000, BlockInstr: 1000,
+		Mem: isa.MemPattern{Base: 0x1000, Footprint: 4096, Stride: 8},
+	}}}
+	drive := func(greedy bool) []int {
+		sp := s.Program()
+		emitted := 0
+		var fired []int
+		sp.Instrument(nil, k*1000, func(*kernel.Kernel, *kernel.Process) []kernel.Op {
+			fired = append(fired, emitted+1) // fires inside the Next that emits this block
+			return nil
+		})
+		for {
+			if _, exit := sp.Next(nil, nil).(kernel.OpExit); exit {
+				return fired
+			}
+			emitted++
+			if _, n := sp.PeekRun(); greedy && n > 0 {
+				sp.ConsumeRun(n)
+				emitted += int(n)
+			}
+		}
+	}
+	// Hooks at blocks 5, 10 and 15, then the final hook as the program
+	// exits after its last block.
+	want := []int{k, 2 * k, 3 * k, blocks + 1}
+	for _, greedy := range []bool{false, true} {
+		if got := drive(greedy); !reflect.DeepEqual(got, want) {
+			t.Errorf("greedy=%v: hook fired at blocks %v, want %v", greedy, got, want)
+		}
 	}
 }
