@@ -13,6 +13,7 @@ import (
 	"io"
 	"testing"
 
+	"kleb"
 	"kleb/internal/experiments"
 )
 
@@ -26,4 +27,46 @@ func BenchmarkArtifacts(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCollectTelemetry prices the observability layer end to end: the
+// same K-LEB Collect at 100µs, with telemetry off and with trace and
+// metrics capture on. The gap between the two is what telemetry costs a
+// monitored run; trace_bytes is the size of the Chrome trace "on" exports.
+func BenchmarkCollectTelemetry(b *testing.B) {
+	for _, on := range []bool{false, true} {
+		name := "off"
+		if on {
+			name = "on"
+		}
+		b.Run(name, func(b *testing.B) {
+			var trace byteCount
+			for i := 0; i < b.N; i++ {
+				opts := kleb.CollectOptions{
+					Workload: kleb.Synthetic(200_000_000, 1<<20, 0.02),
+					Events:   []kleb.Event{kleb.Instructions, kleb.LLCMisses},
+					Period:   100 * kleb.Microsecond,
+					Seed:     1,
+				}
+				if on {
+					trace = 0
+					opts.Trace, opts.Metrics = &trace, io.Discard
+				}
+				if _, err := kleb.Collect(opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if on {
+				b.ReportMetric(float64(trace), "trace_bytes")
+			}
+		})
+	}
+}
+
+// byteCount is an io.Writer that counts the bytes written to it.
+type byteCount int
+
+func (c *byteCount) Write(p []byte) (int, error) {
+	*c += byteCount(len(p))
+	return len(p), nil
 }

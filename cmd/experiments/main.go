@@ -8,12 +8,9 @@
 // (-workers, default GOMAXPROCS); results are bit-identical for any pool
 // size. With -md FILE, every artifact the command prints is also written
 // to FILE as a section of a Markdown report (the regenerable EXPERIMENTS
-// record). The pseudo-command "telemetry-bench" bounds the telemetry emit
-// cost; "kernel-bench" micro-benchmarks the scheduler's event queue and
-// execute loop and writes BENCH_kernel.json, and with -baseline FILE fails
-// on a >25% ns/op regression (the CI gate driven by
-// scripts/bench_kernel.sh). The -cpuprofile / -memprofile flags capture
-// host pprof profiles of any command.
+// record). The -cpuprofile / -memprofile flags capture host pprof profiles
+// of any command. The simulator's micro-benchmarks are the Benchmark*
+// functions of its packages, gated by scripts/bench_kernel.sh.
 package main
 
 import (
@@ -42,16 +39,14 @@ func fail(format string, args ...any) {
 
 func main() {
 	var (
-		trials   = flag.Int("trials", 0, "trial count (0 = each experiment's default); fig6/fig7 average this many rounds, chaos sweeps this many fault plans")
-		seed     = flag.Uint64("seed", 1, "base simulation seed")
-		workers  = flag.Int("workers", 0, "scheduler pool size for each experiment's runs (0 = GOMAXPROCS)")
-		mdPath   = flag.String("md", "", "also write every artifact the command prints to this file as a Markdown report")
-		jsPath   = flag.String("json", "", "with the telemetry-bench/kernel-bench commands: write the JSON here")
-		trPath   = flag.String("trace", "", "write batch-level telemetry as Chrome trace-event JSON to this file")
-		mtPath   = flag.String("metrics", "", "write batch-level telemetry as Prometheus text to this file")
-		basePath = flag.String("baseline", "", "with kernel-bench: compare against this BENCH_kernel.json and fail on regression")
-		cpuProf  = flag.String("cpuprofile", "", "write a host CPU profile (pprof) to this file")
-		memProf  = flag.String("memprofile", "", "write a host heap profile (pprof) to this file on exit")
+		trials  = flag.Int("trials", 0, "trial count (0 = each experiment's default); fig6/fig7 average this many rounds, chaos sweeps this many fault plans")
+		seed    = flag.Uint64("seed", 1, "base simulation seed")
+		workers = flag.Int("workers", 0, "scheduler pool size for each experiment's runs (0 = GOMAXPROCS)")
+		mdPath  = flag.String("md", "", "also write every artifact the command prints to this file as a Markdown report")
+		trPath  = flag.String("trace", "", "write batch-level telemetry as Chrome trace-event JSON to this file")
+		mtPath  = flag.String("metrics", "", "write batch-level telemetry as Prometheus text to this file")
+		cpuProf = flag.String("cpuprofile", "", "write a host CPU profile (pprof) to this file")
+		memProf = flag.String("memprofile", "", "write a host heap profile (pprof) to this file on exit")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -70,18 +65,6 @@ func main() {
 		}
 	}()
 	cmd := flag.Arg(0)
-	if cmd == "telemetry-bench" {
-		if err := writeTelemetryBench(*jsPath, *seed); err != nil {
-			fail("experiments telemetry-bench: %v\n", err)
-		}
-		return
-	}
-	if cmd == "kernel-bench" {
-		if err := writeKernelBench(*jsPath, *basePath, *seed); err != nil {
-			fail("experiments kernel-bench: %v\n", err)
-		}
-		return
-	}
 	if setupBatchTelemetry(*trPath, *mtPath) {
 		defer func() {
 			if err := exportBatchTelemetry(*trPath, *mtPath); err != nil {
@@ -125,8 +108,6 @@ func usage() {
 		line(strings.Join(a.Names, ", "), title)
 	}
 	line("all", "every entry above that is not a gate, once each")
-	line("telemetry-bench", "telemetry emit-cost bound (-json, default BENCH_telemetry.json)")
-	line("kernel-bench", "scheduler fast-path micro-benchmarks (-json, default BENCH_kernel.json; -baseline gates)")
 	fmt.Fprintf(out, "\nflags:\n")
 	flag.PrintDefaults()
 }

@@ -1,14 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"time"
 
-	"kleb"
-	"kleb/internal/ktime"
 	"kleb/internal/session"
 	"kleb/internal/telemetry"
 )
@@ -60,119 +56,4 @@ func exportBatchTelemetry(tracePath, metricsPath string) error {
 		return err
 	}
 	return write(metricsPath, sink.WritePrometheus)
-}
-
-// nilEmitBoundNs is the CI bound on the disabled-path emit cost: one
-// branch-on-nil must stay in low single-digit nanoseconds; 25ns leaves
-// generous headroom for slow shared runners while still catching an
-// accidental allocation or lock on the path.
-const nilEmitBoundNs = 25.0
-
-// enabledEmitBoundNs bounds the enabled-path emit cost. klebd folds every
-// node run's counters through this path (~8.5ns/op observed), so a
-// regression here multiplies across the whole fleet's ingest; 50ns keeps
-// slow-runner headroom while catching an accidental allocation or
-// per-event lock.
-const enabledEmitBoundNs = 50.0
-
-// telemetryBench is the BENCH_telemetry.json shape.
-type telemetryBench struct {
-	// Per-call cost of one emit on a nil (disabled) sink and on a live one.
-	NilEmitNsPerOp     float64 `json:"nil_emit_ns_per_op"`
-	EnabledEmitNsPerOp float64 `json:"enabled_emit_ns_per_op"`
-	// Wall time of the same Collect run with telemetry off and on.
-	CollectDisabledSeconds float64 `json:"collect_disabled_seconds"`
-	CollectEnabledSeconds  float64 `json:"collect_enabled_seconds"`
-	CollectOverheadPct     float64 `json:"collect_overhead_pct"`
-	// TraceBytes is the size of the Chrome trace the enabled run exported.
-	TraceBytes          int     `json:"trace_bytes"`
-	BoundNsPerOp        float64 `json:"nil_emit_bound_ns_per_op"`
-	EnabledBoundNsPerOp float64 `json:"enabled_emit_bound_ns_per_op"`
-}
-
-// emitLoop drives the hottest emit call site n times against s (which may
-// be nil — the disabled shape every instrumented layer compiles to).
-func emitLoop(s *telemetry.Sink, n int) time.Duration {
-	t0 := time.Now() //klebvet:allow walltime -- measures real emit cost on the host
-	for i := 0; i < n; i++ {
-		s.CtxSwitch(ktime.Time(i), 1, 2)
-	}
-	return time.Since(t0) //klebvet:allow walltime -- measures real emit cost on the host
-}
-
-// writeTelemetryBench measures the observability layer's cost — the
-// disabled-path per-call price, the enabled per-call price, and the
-// end-to-end wall-time delta of a real Collect — writes the numbers as
-// JSON, and fails (non-zero exit) if the disabled path exceeds its bound.
-func writeTelemetryBench(path string, seed uint64) error {
-	if path == "" {
-		path = "BENCH_telemetry.json"
-	}
-	const calls = 50_000_000
-	var bench telemetryBench
-	bench.BoundNsPerOp = nilEmitBoundNs
-	bench.EnabledBoundNsPerOp = enabledEmitBoundNs
-
-	// Warm up, then time the nil (disabled) path and the enabled path.
-	emitLoop(nil, calls/10)
-	bench.NilEmitNsPerOp = float64(emitLoop(nil, calls).Nanoseconds()) / calls
-	live := telemetry.New()
-	emitLoop(live, calls/10)
-	bench.EnabledEmitNsPerOp = float64(emitLoop(live, calls).Nanoseconds()) / calls
-
-	// One real monitored run, telemetry off vs. on.
-	collect := func(withTelemetry bool) (float64, int, error) {
-		opts := kleb.CollectOptions{
-			Workload: kleb.Synthetic(200_000_000, 1<<20, 0.02),
-			Events:   []kleb.Event{kleb.Instructions, kleb.LLCMisses},
-			Period:   100 * kleb.Microsecond,
-			Seed:     seed,
-		}
-		var trace, metrics discard
-		if withTelemetry {
-			opts.Trace = &trace
-			opts.Metrics = &metrics
-		}
-		t0 := time.Now() //klebvet:allow walltime -- wall-clock overhead measurement is the experiment
-		_, err := kleb.Collect(opts)
-		return time.Since(t0).Seconds(), trace.n, err //klebvet:allow walltime -- wall-clock overhead measurement is the experiment
-	}
-	var err error
-	if bench.CollectDisabledSeconds, _, err = collect(false); err != nil {
-		return err
-	}
-	if bench.CollectEnabledSeconds, bench.TraceBytes, err = collect(true); err != nil {
-		return err
-	}
-	if bench.CollectDisabledSeconds > 0 {
-		bench.CollectOverheadPct = (bench.CollectEnabledSeconds - bench.CollectDisabledSeconds) /
-			bench.CollectDisabledSeconds * 100
-	}
-
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("telemetry bench: nil emit %.2f ns/op (bound %.0f), enabled emit %.2f ns/op, collect %+.1f%%\n",
-		bench.NilEmitNsPerOp, nilEmitBoundNs, bench.EnabledEmitNsPerOp, bench.CollectOverheadPct)
-	if bench.NilEmitNsPerOp > nilEmitBoundNs {
-		return fmt.Errorf("disabled-path emit cost %.2f ns/op exceeds the %.0f ns bound",
-			bench.NilEmitNsPerOp, nilEmitBoundNs)
-	}
-	if bench.EnabledEmitNsPerOp > enabledEmitBoundNs {
-		return fmt.Errorf("enabled-path emit cost %.2f ns/op exceeds the %.0f ns bound",
-			bench.EnabledEmitNsPerOp, enabledEmitBoundNs)
-	}
-	return nil
-}
-
-// discard counts bytes written to it.
-type discard struct{ n int }
-
-func (d *discard) Write(p []byte) (int, error) {
-	d.n += len(p)
-	return len(p), nil
 }

@@ -342,9 +342,6 @@ func (prog *Program) FuncAt(pos token.Pos) *FuncNode {
 	return best
 }
 
-// ByObject returns the node for a declared function, or nil.
-func (prog *Program) ByObject(obj *types.Func) *FuncNode { return prog.byObj[obj] }
-
 // declName renders the canonical unique name of a declared function.
 func declName(sp *SourcePackage, fd *ast.FuncDecl, obj *types.Func) string {
 	return funcName(sp.Pkg.Path(), fd, obj)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"kleb/internal/ktime"
 	"kleb/internal/machine"
@@ -180,18 +179,6 @@ func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
 		res.BaselineMean = ktime.Duration(sum / float64(len(nb)) * float64(ktime.Second))
 	}
 	return res, nil
-}
-
-// SortedByOverhead returns the supported rows ordered best-first.
-func (r *OverheadResult) SortedByOverhead() []ToolOverhead {
-	rows := make([]ToolOverhead, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		if row.Unsupported == "" {
-			rows = append(rows, row)
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Mean < rows[j].Mean })
-	return rows
 }
 
 // Row looks up one tool's row.

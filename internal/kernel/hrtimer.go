@@ -25,9 +25,6 @@ type HRTimer struct {
 // Period returns the timer's period (0 for one-shot).
 func (t *HRTimer) Period() ktime.Duration { return t.period }
 
-// Expires returns the effective (jittered) expiry instant.
-func (t *HRTimer) Expires() ktime.Time { return t.node.at }
-
 // Active reports whether the timer is armed.
 func (t *HRTimer) Active() bool { return t.active }
 

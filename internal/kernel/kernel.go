@@ -235,7 +235,6 @@ func (k *Kernel) Resume(p *Process) {
 		return
 	}
 	p.state = StateReady
-	p.startTime = k.clock.Now()
 	k.runq.PushBack(p)
 }
 
@@ -243,12 +242,11 @@ func (k *Kernel) spawn(name string, prog Program, ppid PID) *Process {
 	k.nextPID++
 	//klebvet:allow hotalloc -- clone allocates a task struct by definition; spawns are workload events, not sampling-period work
 	p := &Process{
-		pid:       k.nextPID,
-		ppid:      ppid,
-		name:      name,
-		state:     StateReady,
-		prog:      prog,
-		startTime: k.clock.Now(),
+		pid:   k.nextPID,
+		ppid:  ppid,
+		name:  name,
+		state: StateReady,
+		prog:  prog,
 	}
 	p.wake = eventNode{kind: evWake, id: uint64(p.pid), index: -1, proc: p}
 	k.procs[p.pid] = p

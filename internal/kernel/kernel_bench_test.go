@@ -2,18 +2,21 @@ package kernel
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"kleb/internal/isa"
 	"kleb/internal/ktime"
+	"kleb/internal/pmu"
 )
 
-// Micro-benchmarks for the scheduler's hot path. These are the bodies
-// behind scripts/bench_kernel.sh / BENCH_kernel.json: the sleeper storm is
-// the regression gate's headline number (it is the shape that made table2
-// O(P)-scan-bound before the unified event queue), the steady-state
-// benchmark guards the zero-allocation execute loop, and the timer churn
-// benchmark prices one full arm→fire→re-arm cycle.
+// Micro-benchmarks for the scheduler's hot path. scripts/bench_kernel.sh
+// runs them against the base commit in alternating pairs and fails on a
+// regression; BENCH_kernel.json records their medians. The sleeper
+// storm is the headline number (it is the shape that made table2
+// O(P)-scan-bound before the unified event queue), the timer churn
+// benchmark prices one full arm→fire→re-arm cycle, and the HF sample
+// prices what K-LEB's case rests on: one 100µs sample.
 
 // benchSleepers is the storm width: large enough that a per-event O(P)
 // process scan dominates, small enough that the run queue stays realistic.
@@ -214,26 +217,110 @@ func BenchmarkSteadyPhase(b *testing.B) {
 	}
 }
 
+// BenchmarkHFSample prices one sampling period of K-LEB at the paper's
+// 100µs on DefaultCosts, noise on. Four programmable counters and one fixed
+// counter count user work only, as in the overhead study; the timer handler
+// reads the five of them, paying MSRAccess each, then charges the 300ns
+// store into the sample buffer. The target's blocks run for several
+// periods, so every fire cuts the block in flight.
+func BenchmarkHFSample(b *testing.B) {
+	k := New(testCPU(9), DefaultCosts(), ktime.NewRand(9), Options{})
+	pm := k.Core().PMU()
+	for _, w := range []struct {
+		msr uint32
+		val uint64
+	}{
+		{pmu.MSRPerfEvtSel0, pmu.Encoding{EventSel: 0x0B, Umask: 0x01}.Sel(pmu.SelUsr | pmu.SelEn)},
+		{pmu.MSRPerfEvtSel0 + 1, pmu.Encoding{EventSel: 0x0B, Umask: 0x02}.Sel(pmu.SelUsr | pmu.SelEn)},
+		{pmu.MSRPerfEvtSel0 + 2, pmu.Encoding{EventSel: 0x2E, Umask: 0x4F}.Sel(pmu.SelUsr | pmu.SelEn)},
+		{pmu.MSRPerfEvtSel0 + 3, pmu.Encoding{EventSel: 0x2E, Umask: 0x41}.Sel(pmu.SelUsr | pmu.SelEn)},
+		{pmu.MSRFixedCtrCtrl, pmu.FixedUsr},
+		{pmu.MSRGlobalCtrl, 0b1111 | 1<<32},
+	} {
+		if err := pm.WriteMSR(w.msr, w.val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reads := [...]uint32{pmu.MSRPmc0, pmu.MSRPmc0 + 1, pmu.MSRPmc0 + 2, pmu.MSRPmc0 + 3, pmu.MSRFixedCtr0}
+	msr := k.Costs().MSRAccess
+	fired := 0
+	k.StartHRTimer(100*ktime.Microsecond, 100*ktime.Microsecond, func(k *Kernel, t *HRTimer) bool {
+		for _, addr := range reads {
+			k.ChargeKernel(msr)
+			if _, err := pm.ReadMSR(addr); err != nil {
+				b.Fatal(err)
+			}
+		}
+		k.ChargeKernel(300 * ktime.Nanosecond)
+		fired++
+		return fired < b.N
+	})
+	var op Op = OpExec{Block: workBlock(10_000_000)}
+	k.Spawn("target", ProgramFunc(func(k *Kernel, p *Process) Op {
+		if fired >= b.N {
+			return OpExit{}
+		}
+		return op
+	}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(0); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// preboxedStream is benchStream with its Op boxed once, as the other
+// zero-allocation cases box theirs: a fresh OpExec per Next call is the
+// program's allocation, not the kernel's.
+type preboxedStream struct {
+	benchStream
+	op Op
+}
+
+func (s *preboxedStream) Next(k *Kernel, p *Process) Op {
+	s.left--
+	return s.op
+}
+
 // TestSteadyRunCurrentNoAlloc is the hard zero-allocation gate on the
-// steady-state scheduler loop: once warm, advancing a compute-bound
-// process must not allocate at all. (Skipped under the race detector,
-// which instruments allocations.)
+// scheduler's steady states: once warm, one RunUntil step must not
+// allocate in the execute loop, in a storm of HR-sleep wakeups, or on the
+// batched compiled-stream path. (Skipped under the race detector, which
+// instruments allocations.)
 func TestSteadyRunCurrentNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
-	k := testKernel(4)
-	var op Op = OpExec{Block: workBlock(10_000)}
-	k.Spawn("spin", ProgramFunc(func(k *Kernel, p *Process) Op { return op }))
-	cursor := ktime.Time(0)
-	step := func() {
-		cursor = cursor.Add(ktime.Millisecond)
-		if err := k.RunUntil(cursor); err != nil {
-			t.Fatal(err)
-		}
+	var exec Op = OpExec{Block: workBlock(10_000)}
+	var sleep Op = OpSleep{D: 100 * ktime.Microsecond, HR: true}
+	sleepers := make([]Program, benchSleepers)
+	for i := range sleepers {
+		sleepers[i] = ProgramFunc(func(k *Kernel, p *Process) Op { return sleep })
 	}
-	step() // warm up: first blocks grow the pending queue and cache cursors
-	if avg := testing.AllocsPerRun(10, step); avg != 0 {
-		t.Errorf("steady-state runCurrent allocates %v allocs/op, want 0", avg)
+	for _, tc := range []struct {
+		name  string
+		progs []Program
+	}{
+		{"steady", []Program{ProgramFunc(func(k *Kernel, p *Process) Op { return exec })}},
+		{"sleepers", sleepers},
+		{"batched", []Program{&preboxedStream{benchStream{block: workBlock(10_000), left: math.MaxUint64}, exec}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := testKernel(4)
+			for i, prog := range tc.progs {
+				k.Spawn(fmt.Sprintf("%s%02d", tc.name, i), prog)
+			}
+			cursor := ktime.Time(0)
+			step := func() {
+				cursor = cursor.Add(ktime.Millisecond)
+				if err := k.RunUntil(cursor); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step() // warm up: first blocks grow the pending queue, event heap and cache cursors
+			if avg := testing.AllocsPerRun(10, step); avg != 0 {
+				t.Errorf("one RunUntil step allocates %v times, want 0", avg)
+			}
+		})
 	}
 }

@@ -146,14 +146,13 @@ type Process struct {
 	SyscallResult any
 
 	// Accounting.
-	startTime ktime.Time
-	firstRun  ktime.Time
-	ranOnce   bool
-	exitTime  ktime.Time
-	userTime  ktime.Duration
-	kernTime  ktime.Duration
-	switches  uint64
-	exitCode  int
+	firstRun ktime.Time
+	ranOnce  bool
+	exitTime ktime.Time
+	userTime ktime.Duration
+	kernTime ktime.Duration
+	switches uint64
+	exitCode int
 }
 
 // pendingLen returns the number of queued work items.
@@ -203,18 +202,11 @@ func (p *Process) Name() string { return p.name }
 // State returns the scheduling state.
 func (p *Process) State() ProcState { return p.state }
 
-// Daemon reports whether the process is a background daemon that does not
-// keep Kernel.Run alive (OS noise generators, long-lived services).
-func (p *Process) Daemon() bool { return p.daemon }
-
 // Exited reports whether the process has terminated.
 func (p *Process) Exited() bool { return p.state == StateExited }
 
 // ExitCode returns the exit code (valid once Exited).
 func (p *Process) ExitCode() int { return p.exitCode }
-
-// StartTime returns when the process was spawned (or resumed).
-func (p *Process) StartTime() ktime.Time { return p.startTime }
 
 // FirstRun returns when the process was first scheduled onto the CPU.
 func (p *Process) FirstRun() ktime.Time { return p.firstRun }

@@ -175,7 +175,6 @@ type EventTable struct {
 	byCore  map[Encoding]int
 	byUnc   map[Encoding]int
 	byEvent map[isa.Event]int
-	byName  map[string]int
 }
 
 // NewTable builds a table from descriptors, validating that encodings and
@@ -187,7 +186,6 @@ func NewTable(arch string, descs []EventDesc) (*EventTable, error) {
 		byCore:  make(map[Encoding]int, len(descs)),
 		byUnc:   make(map[Encoding]int),
 		byEvent: make(map[isa.Event]int, len(descs)),
-		byName:  make(map[string]int, len(descs)),
 	}
 	for i, d := range t.descs {
 		switch d.Unit {
@@ -216,7 +214,6 @@ func NewTable(arch string, descs []EventDesc) (*EventTable, error) {
 			return nil, fmt.Errorf("pmu: table %s: event class %v has two encodings", arch, d.Event)
 		}
 		t.byEvent[d.Event] = i
-		t.byName[d.Name] = i
 	}
 	return t, nil
 }
@@ -366,18 +363,6 @@ func (t *EventTable) DescFor(ev isa.Event) (EventDesc, bool) {
 		return EventDesc{}, false
 	}
 	i, ok := t.byEvent[ev]
-	if !ok {
-		return EventDesc{}, false
-	}
-	return t.descs[i], true
-}
-
-// DescByName resolves an architectural mnemonic from this table.
-func (t *EventTable) DescByName(name string) (EventDesc, bool) {
-	if t == nil {
-		return EventDesc{}, false
-	}
-	i, ok := t.byName[strings.ToUpper(strings.TrimSpace(name))]
 	if !ok {
 		return EventDesc{}, false
 	}

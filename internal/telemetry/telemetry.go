@@ -8,7 +8,8 @@
 //   - Zero overhead when disabled. Every emit method is safe on a nil
 //     *Sink and returns immediately, so an uninstrumented run pays one
 //     predicted branch per call site — no allocation, no formatting, no
-//     locks. BENCH_telemetry.json records the measured cost.
+//     locks. BenchmarkEmitDisabled prices it; scripts/bench_kernel.sh
+//     fails when it exceeds 25ns.
 //
 //   - Reproducible observability. Events are stamped with virtual ktime,
 //     never wall-clock, and a Sink is owned by exactly one simulated run,

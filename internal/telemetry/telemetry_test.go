@@ -317,8 +317,8 @@ func TestPrometheusShape(t *testing.T) {
 	}
 }
 
-// The satellite requirement: the disabled path must be a branch, nothing
-// more. The benchmark pair quantifies it (see BENCH_telemetry.json).
+// The disabled path must be a branch, nothing more. scripts/bench_kernel.sh
+// bounds this pair at 25ns (disabled) and 50ns (enabled).
 func BenchmarkEmitDisabled(b *testing.B) {
 	var s *Sink
 	b.ReportAllocs()

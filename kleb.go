@@ -317,8 +317,6 @@ type CollectOptions struct {
 	// Baseline additionally runs the workload unmonitored on the same seed
 	// and reports the monitoring overhead.
 	Baseline bool
-	// OSNoise adds a background noise daemon.
-	OSNoise bool
 	// Strace, when non-nil, receives an strace-style line for every
 	// syscall any simulated process makes during the run.
 	Strace io.Writer
@@ -502,7 +500,6 @@ func monitoredSpec(opts CollectOptions, prof machine.Profile, kind ToolKind, per
 			Period:        period,
 			ExcludeKernel: !opts.IncludeKernel,
 		},
-		Noise: opts.OSNoise,
 	}
 	if opts.Strace != nil {
 		spec.OnBoot = func(m *machine.Machine) { m.Kernel().TraceSyscalls(opts.Strace) }
@@ -572,7 +569,6 @@ func Collect(opts CollectOptions) (*Report, error) {
 			Seed:       opts.Seed,
 			TargetName: opts.Workload.name,
 			NewTarget:  opts.Workload.factory,
-			Noise:      opts.OSNoise,
 		})
 	}
 	outs := session.Scheduler{Workers: opts.Workers}.Run(specs)
@@ -653,7 +649,6 @@ func Compare(opts CollectOptions, tools ...ToolKind) ([]CompareRow, error) {
 		Seed:       opts.Seed,
 		TargetName: opts.Workload.name,
 		NewTarget:  opts.Workload.factory,
-		Noise:      opts.OSNoise,
 	})
 	outs := session.Scheduler{Workers: opts.Workers}.Run(specs)
 	baseOut := outs[len(tools)]

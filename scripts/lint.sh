@@ -11,9 +11,9 @@
 #                  klebvet-findings.json (CI uploads it as an artifact)
 #   4. go generate the generated PMU event tables must match the
 #                  checked-in spec (events.spec is the source of truth)
-#   5. bench smoke the kernel/PMU micro-benchmarks compile and survive one
-#                  iteration (the full regression gate runs in CI through
-#                  scripts/bench_kernel.sh)
+#   5. bench smoke every benchmark the regression gate runs compiles and
+#                  survives one iteration (the paired gate itself runs in
+#                  CI through scripts/bench_kernel.sh)
 #   6. chaos smoke one seeded fault plan runs end to end and satisfies the
 #                  period-conservation invariant (the full 32-plan sweep
 #                  runs in CI's chaos job)
@@ -68,8 +68,10 @@ fi
 echo "==> generated event tables up to date"
 (cd internal/pmu && go run ./gen -spec events.spec -out events_gen.go -check)
 
-echo "==> kernel bench smoke (1 iteration)"
-go test ./internal/kernel ./internal/pmu -run 'NONE' -bench . -benchtime 1x >/dev/null
+echo "==> bench smoke (1 iteration)"
+go test ./internal/kernel ./internal/pmu ./internal/cpu ./internal/cache ./internal/telemetry \
+    -run '^$' -bench . -benchtime 1x >/dev/null
+go test . -run '^$' -bench 'Artifacts/table2$|CollectTelemetry' -benchtime 1x >/dev/null
 
 echo "==> chaos smoke (1 fault plan)"
 go run ./cmd/experiments -trials 1 chaos >/dev/null
