@@ -14,8 +14,8 @@ import (
 
 // busyBlock keeps the core busy so timer interrupts have something to
 // preempt, as in real sampling.
-func busyBlock() isa.Block {
-	return isa.Block{
+func busyBlock() *isa.Block {
+	return &isa.Block{
 		Instr: 100_000, Loads: 25_000, Stores: 8_000, Branches: 10_000,
 		Mem:  isa.MemPattern{Base: 0x9_0000_0000, Footprint: 64 << 10, Stride: 8},
 		Priv: isa.User,

@@ -534,7 +534,7 @@ func (k *Kernel) runCurrent(budget ktime.Duration) {
 			if op.Block.Empty() {
 				return
 			}
-			p.pushPending(pendingWork{work: k.executeRun(p, op.Block, budget)})
+			p.pushPending(pendingWork{work: k.executeRun(p, *op.Block, budget)})
 		case OpSleep:
 			k.doSleep(p, op)
 			return

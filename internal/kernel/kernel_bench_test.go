@@ -61,7 +61,7 @@ func BenchmarkTimerChurn(b *testing.B) {
 		if fired >= b.N {
 			return OpExit{}
 		}
-		return OpExec{Block: workBlock(50_000)}
+		return execBlock(workBlock(50_000))
 	}))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -76,7 +76,7 @@ func BenchmarkTimerChurn(b *testing.B) {
 func BenchmarkSteadyRunCurrent(b *testing.B) {
 	k := testKernel(3)
 	n := 0
-	var op Op = OpExec{Block: workBlock(10_000)}
+	var op Op = execBlock(workBlock(10_000))
 	k.Spawn("spin", ProgramFunc(func(k *Kernel, p *Process) Op {
 		n++
 		if n > b.N {
@@ -135,7 +135,7 @@ func (s *benchStream) Next(k *Kernel, p *Process) Op {
 		return OpExit{}
 	}
 	s.left--
-	return OpExec{Block: s.block}
+	return OpExec{Block: &s.block}
 }
 
 func (s *benchStream) PeekRun() (isa.Block, uint64) { return s.block, s.left }
@@ -177,7 +177,7 @@ func (s *phaseStream) Next(k *Kernel, p *Process) Op {
 	}
 	s.left--
 	s.total--
-	return OpExec{Block: s.blocks[s.bi]}
+	return OpExec{Block: &s.blocks[s.bi]}
 }
 
 func (s *phaseStream) PeekRun() (isa.Block, uint64) {
@@ -255,7 +255,7 @@ func BenchmarkHFSample(b *testing.B) {
 		fired++
 		return fired < b.N
 	})
-	var op Op = OpExec{Block: workBlock(10_000_000)}
+	var op Op = execBlock(workBlock(10_000_000))
 	k.Spawn("target", ProgramFunc(func(k *Kernel, p *Process) Op {
 		if fired >= b.N {
 			return OpExit{}
@@ -269,19 +269,6 @@ func BenchmarkHFSample(b *testing.B) {
 	}
 }
 
-// preboxedStream is benchStream with its Op boxed once, as the other
-// zero-allocation cases box theirs: a fresh OpExec per Next call is the
-// program's allocation, not the kernel's.
-type preboxedStream struct {
-	benchStream
-	op Op
-}
-
-func (s *preboxedStream) Next(k *Kernel, p *Process) Op {
-	s.left--
-	return s.op
-}
-
 // TestSteadyRunCurrentNoAlloc is the hard zero-allocation gate on the
 // scheduler's steady states: once warm, one RunUntil step must not
 // allocate in the execute loop, in a storm of HR-sleep wakeups, or on the
@@ -291,7 +278,7 @@ func TestSteadyRunCurrentNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
-	var exec Op = OpExec{Block: workBlock(10_000)}
+	block := workBlock(10_000)
 	var sleep Op = OpSleep{D: 100 * ktime.Microsecond, HR: true}
 	sleepers := make([]Program, benchSleepers)
 	for i := range sleepers {
@@ -301,9 +288,11 @@ func TestSteadyRunCurrentNoAlloc(t *testing.T) {
 		name  string
 		progs []Program
 	}{
-		{"steady", []Program{ProgramFunc(func(k *Kernel, p *Process) Op { return exec })}},
+		// An OpExec carries its block by pointer, so building one per Next
+		// call allocates nothing.
+		{"steady", []Program{ProgramFunc(func(k *Kernel, p *Process) Op { return OpExec{Block: &block} })}},
 		{"sleepers", sleepers},
-		{"batched", []Program{&preboxedStream{benchStream{block: workBlock(10_000), left: math.MaxUint64}, exec}}},
+		{"batched", []Program{&benchStream{block: workBlock(10_000), left: math.MaxUint64}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k := testKernel(4)
@@ -318,8 +307,16 @@ func TestSteadyRunCurrentNoAlloc(t *testing.T) {
 				}
 			}
 			step() // warm up: first blocks grow the pending queue, event heap and cache cursors
-			if avg := testing.AllocsPerRun(10, step); avg != 0 {
-				t.Errorf("one RunUntil step allocates %v times, want 0", avg)
+			// AllocsPerRun truncates its per-run mean to an integer, so the
+			// whole window is one run: a single allocation in it fails.
+			const steps = 10
+			window := func() {
+				for i := 0; i < steps; i++ {
+					step()
+				}
+			}
+			if n := testing.AllocsPerRun(1, window); n != 0 {
+				t.Errorf("%d RunUntil steps allocate %v times in total, want 0", steps, n)
 			}
 		})
 	}

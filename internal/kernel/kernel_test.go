@@ -62,6 +62,9 @@ func workBlock(instr uint64) isa.Block {
 	}
 }
 
+// execBlock wraps a block the caller built in an OpExec.
+func execBlock(b isa.Block) Op { return OpExec{Block: &b} }
+
 // burner runs n blocks then exits.
 func burner(blocks int, instr uint64) Program {
 	i := 0
@@ -70,7 +73,7 @@ func burner(blocks int, instr uint64) Program {
 			return OpExit{Code: 7}
 		}
 		i++
-		return OpExec{Block: workBlock(instr)}
+		return execBlock(workBlock(instr))
 	})
 }
 
@@ -187,7 +190,7 @@ func TestSleepUntilAbsolute(t *testing.T) {
 		switch stage {
 		case 0:
 			stage = 1
-			return OpExec{Block: workBlock(1_000_000)} // consume some time first
+			return execBlock(workBlock(1_000_000)) // consume some time first
 		case 1:
 			stage = 2
 			return OpSleep{Until: ktime.Time(30 * ktime.Millisecond)}
@@ -448,7 +451,7 @@ func TestDeadlockDetection(t *testing.T) {
 func TestRunTimeLimit(t *testing.T) {
 	k := testKernel(16)
 	k.Spawn("forever", ProgramFunc(func(*Kernel, *Process) Op {
-		return OpExec{Block: workBlock(100_000)}
+		return execBlock(workBlock(100_000))
 	}))
 	if err := k.Run(5 * ktime.Millisecond); err != nil {
 		t.Fatal(err)

@@ -60,8 +60,11 @@ func (f ProgramFunc) Next(k *Kernel, p *Process) Op { return f(k, p) }
 type Op interface{ isOp() }
 
 // OpExec executes an instruction block (user or kernel privilege per the
-// block).
-type OpExec struct{ Block isa.Block }
+// block). It carries the block by pointer, so converting an OpExec to an Op
+// allocates nothing: a program may point into storage it owns (a compiled
+// stream's runs) or take the address of a block it builds. The kernel reads
+// the block once, when it executes the op, and never writes it.
+type OpExec struct{ Block *isa.Block }
 
 // OpSleep blocks the process for roughly D — or, when Until is non-zero,
 // until the absolute deadline Until (setitimer-style arming, immune to the

@@ -304,7 +304,7 @@ func (c *Controller) Next(k *kernel.Kernel, p *kernel.Process) kernel.Op {
 // formatting stretch plus a write syscall whose kernel side (page-cache
 // copy, VFS) dominates the cost.
 func (c *Controller) logOp(k *kernel.Kernel, n int) kernel.Op {
-	return kernel.OpExec{Block: isa.Block{
+	return kernel.OpExec{Block: &isa.Block{
 		Instr:    20_000 + uint64(n)*1_500,
 		Loads:    6_000 + uint64(n)*400,
 		Stores:   3_000 + uint64(n)*300,

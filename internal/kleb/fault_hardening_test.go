@@ -331,11 +331,79 @@ func TestCaptureSampleNoAlloc(t *testing.T) {
 	if err := mod.start(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
+	// Grow the ring past the occupancy the measured window reaches (its
+	// warm-up call and its measured call push 100 samples each), then
+	// drain it: growth is the ring's only allocation, bounded per
+	// configure, and this gate sees it.
+	for i := 0; i < 200; i++ {
 		mod.captureSample(false)
 	}
-	if avg := testing.AllocsPerRun(100, func() { mod.captureSample(false) }); avg != 0 {
-		t.Errorf("captureSample allocates %.1f objects/op in steady state, want 0", avg)
+	mod.read(0)
+	// AllocsPerRun truncates its per-run mean to an integer, so the whole
+	// window is one run: a single allocation in it fails.
+	const captures = 100
+	window := func() {
+		for i := 0; i < captures; i++ {
+			mod.captureSample(false)
+		}
+	}
+	if n := testing.AllocsPerRun(1, window); n != 0 {
+		t.Errorf("%d captures allocate %v times in total in steady state, want 0", captures, n)
+	}
+}
+
+// TestModuleRingGrowsOnDemand: configure allocates no ring slot, captures
+// grow the ring only as occupancy requires, and a full ring still pauses
+// collection at exactly BufferSamples, resuming once a drain frees half of
+// it.
+func TestModuleRingGrowsOnDemand(t *testing.T) {
+	m := machine.Boot(quietProfile(), 69)
+	k := m.Kernel()
+	mod := NewModule()
+	if err := k.LoadModule(mod); err != nil {
+		t.Fatal(err)
+	}
+	target := k.Spawn("t", targetScript(1000).Program())
+	const capacity = 100 // not a doubling of ringFirstSlots: the last growth is capped
+	cfg := ModuleConfig{
+		Events:        []isa.Event{isa.EvInstructions, isa.EvLoads},
+		Period:        ktime.Millisecond,
+		Target:        target.PID(),
+		BufferSamples: capacity,
+	}
+	if err := mod.configure(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(mod.buf.buf); n != 0 {
+		t.Fatalf("configure allocated %d ring slots, want 0", n)
+	}
+	if err := mod.start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= capacity; i++ {
+		mod.onTimer(k, nil)
+		if mod.paused {
+			t.Fatalf("paused after %d samples, capacity %d", i, capacity)
+		}
+		if i == ringFirstSlots && len(mod.buf.buf) != ringFirstSlots {
+			t.Fatalf("%d samples buffered in %d slots, want %d", i, len(mod.buf.buf), ringFirstSlots)
+		}
+	}
+	if mod.captured != capacity || len(mod.buf.buf) != capacity {
+		t.Fatalf("captured %d into %d slots, want %d into %d", mod.captured, len(mod.buf.buf), capacity, capacity)
+	}
+	mod.onTimer(k, nil)
+	if !mod.paused || mod.dropped != 1 || mod.captured != capacity {
+		t.Fatalf("full ring: paused %v, dropped %d, captured %d; want paused, 1, %d",
+			mod.paused, mod.dropped, mod.captured, capacity)
+	}
+	mod.read(capacity/2 - 1)
+	if !mod.paused {
+		t.Fatal("resumed with less than half the ring free")
+	}
+	mod.read(1)
+	if mod.paused {
+		t.Fatal("still paused with half the ring free")
 	}
 }
 

@@ -379,8 +379,12 @@ func TestRingBasicFIFO(t *testing.T) {
 }
 
 func TestRingDefaultCapacity(t *testing.T) {
-	if got := len(newRing(0, 1).buf); got != DefaultBufferSamples {
+	r := newRing(0, 1)
+	if got := r.capacity(); got != DefaultBufferSamples {
 		t.Errorf("default capacity %d", got)
+	}
+	if r.free() != DefaultBufferSamples || len(r.buf) != 0 {
+		t.Errorf("a new ring must allocate no slot: free %d, %d slots allocated", r.free(), len(r.buf))
 	}
 }
 
@@ -405,9 +409,10 @@ func TestRingPopCopiesOutOfSlab(t *testing.T) {
 
 func TestRingFIFOProperty(t *testing.T) {
 	// Any interleaving of pushes and pops preserves FIFO order and never
-	// loses or duplicates accepted samples.
-	prop := func(ops []uint8) bool {
-		r := newRing(8, 1)
+	// loses or duplicates accepted samples. At capacity 100 the ring grows
+	// from ringFirstSlots to 100 slots, mostly after pops have wrapped it.
+	prop := func(capacity int, ops []uint8) bool {
+		r := newRing(capacity, 1)
 		next := uint64(0)
 		wantNext := uint64(0)
 		for _, op := range ops {
@@ -418,9 +423,13 @@ func TestRingFIFOProperty(t *testing.T) {
 					}
 					wantNext++
 				}
-			} else { // push
-				if r.push(ktime.Time(next), []uint64{next}) {
-					next++
+			} else { // push a burst
+				for i := 0; i <= int(op%16); i++ {
+					if r.push(ktime.Time(next), []uint64{next}) {
+						next++
+					} else if r.len() != capacity {
+						return false
+					}
 				}
 			}
 		}
@@ -432,8 +441,10 @@ func TestRingFIFOProperty(t *testing.T) {
 		}
 		return wantNext == next
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	for _, capacity := range []int{8, 100} {
+		if err := quick.Check(func(ops []uint8) bool { return prop(capacity, ops) }, &quick.Config{MaxCount: 300}); err != nil {
+			t.Errorf("capacity %d: %v", capacity, err)
+		}
 	}
 }
 

@@ -515,8 +515,8 @@ const (
 
 // captureSample reads all planned counters into preallocated scratch and
 // appends one delta sample. When final is set, an all-zero delta is
-// suppressed. The hot path allocates nothing: push copies the scratch into
-// the ring's slab.
+// suppressed. The hot path allocates nothing once the ring has grown to the
+// run's occupancy: push copies the scratch into the ring's slab.
 //
 //klebvet:hotpath
 func (m *Module) captureSample(final bool) capResult {
@@ -566,7 +566,7 @@ func (m *Module) captureSample(final bool) capResult {
 	}
 	copy(m.last, cur)
 	m.captured++
-	m.k.Telemetry().SampleCaptured(m.k.Now(), m.buf.len(), len(m.buf.buf))
+	m.k.Telemetry().SampleCaptured(m.k.Now(), m.buf.len(), m.buf.capacity())
 	return capPushed
 }
 
@@ -605,7 +605,7 @@ func (m *Module) read(max int) []monitor.Sample {
 	out := m.buf.popN(max)
 	m.k.ChargeKernel(ktime.Duration(len(out)) * m.copyCost)
 	m.k.Telemetry().BufferDrain(m.k.Now(), len(out), m.buf.len())
-	if m.paused && m.buf.free() >= len(m.buf.buf)/2 {
+	if m.paused && m.buf.free() >= m.buf.capacity()/2 {
 		m.paused = false
 		// If a tracked process is running right now, resume immediately;
 		// otherwise the next switch-in re-enables collection.

@@ -19,7 +19,7 @@ func busyProg(blocks int, base, footprint uint64) kernel.Program {
 			return kernel.OpExit{}
 		}
 		i++
-		return kernel.OpExec{Block: isa.Block{
+		return kernel.OpExec{Block: &isa.Block{
 			Instr: 200_000, Loads: 70_000, Stores: 20_000, Branches: 15_000,
 			Mem:  isa.MemPattern{Base: base, Footprint: footprint, Stride: 8, RandomFrac: 0.3},
 			Priv: isa.User,
@@ -105,7 +105,7 @@ func TestClusterRunLimit(t *testing.T) {
 	c := BootCluster(quiet(), 4, 2)
 	c.Cores()[0].Kernel().Spawn("forever", kernel.ProgramFunc(
 		func(k *kernel.Kernel, p *kernel.Process) kernel.Op {
-			return kernel.OpExec{Block: isa.Block{
+			return kernel.OpExec{Block: &isa.Block{
 				Instr: 100_000, Loads: 20_000,
 				Mem:  isa.MemPattern{Base: 0x1000, Footprint: 64 << 10, Stride: 8},
 				Priv: isa.User,
@@ -231,7 +231,7 @@ func sleeper(rounds int, sleep ktime.Duration, base uint64) kernel.Program {
 		if i%2 == 0 {
 			return kernel.OpSleep{D: sleep, HR: true}
 		}
-		return kernel.OpExec{Block: isa.Block{
+		return kernel.OpExec{Block: &isa.Block{
 			Instr: 300_000, Loads: 90_000, Stores: 30_000, Branches: 20_000,
 			Mem:  isa.MemPattern{Base: base, Footprint: 2 << 20, Stride: 8, RandomFrac: 0.2},
 			Priv: isa.User,

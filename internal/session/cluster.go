@@ -26,13 +26,19 @@ type ClusterSpec struct {
 }
 
 // RunCluster boots the socket, places the work and drives it, returning
-// the cluster for post-run inspection.
+// the cluster for post-run inspection. On every return path it releases
+// the cluster's cache storage, the shared LLC included (see
+// machine.Cluster.Release), as Session.Drain does for one machine: the
+// cores' kernels, processes and clocks stay inspectable, and the tools
+// attached in Place stay collectable, but nothing may run on the cluster
+// again.
 func RunCluster(spec ClusterSpec) (*machine.Cluster, error) {
 	cores := spec.Cores
 	if cores <= 0 {
 		cores = 2
 	}
 	c := machine.BootCluster(spec.Profile, spec.Seed, cores)
+	defer c.Release()
 	if spec.Place != nil {
 		if err := spec.Place(c.Cores()); err != nil {
 			return nil, err

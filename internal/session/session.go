@@ -75,7 +75,11 @@ type Result struct {
 	// TargetUser/TargetKern are the target's CPU time split.
 	TargetUser ktime.Duration
 	TargetKern ktime.Duration
-	// Machine is the booted machine, for post-run inspection.
+	// Machine is the booted machine, for post-run inspection. Drain has
+	// released its cache storage (see Session.Drain): the kernel, its
+	// processes, clock, filesystem and modules stay inspectable, and the
+	// caches' Stats, Gen and Config stay readable, but nothing may run on
+	// the machine or access its caches again.
 	Machine *machine.Machine
 	// Target is the monitored process.
 	Target *kernel.Process
@@ -190,7 +194,12 @@ func (s *Session) Drive() error {
 	return nil
 }
 
-// Drain collects the tool's results and packages the run outcome.
+// Drain collects the tool's results, packages the run outcome and ends the
+// run's simulated storage: once the tool is collected, the machine's cache
+// arrays go back to their geometry's pool (machine.Machine.Release), so the
+// next boot of that profile reuses them instead of allocating ~1 MB of
+// fresh arrays while this Result is still referenced. Every run path ends
+// here, including callers that drive the stages one by one.
 func (s *Session) Drain() *Result {
 	res := &Result{
 		Tool:       s.tool,
@@ -203,6 +212,7 @@ func (s *Session) Drain() *Result {
 	if s.tool != nil {
 		res.Result = s.tool.Collect()
 	}
+	s.machine.Release()
 	s.stage("drain")
 	return res
 }

@@ -14,7 +14,7 @@ import (
 // line (what perf stat's interval printing and PAPI/LiMiT harness logging
 // spend their time on).
 func FormatOp(instr uint64) kernel.Op {
-	return kernel.OpExec{Block: isa.Block{
+	return kernel.OpExec{Block: &isa.Block{
 		Instr:    instr,
 		Loads:    instr / 3,
 		Stores:   instr / 8,
@@ -35,7 +35,7 @@ func FormatOp(instr uint64) kernel.Op {
 // sub-0.3% band the paper reports for cross-tool count agreement.
 func LogPointOp(extraInstr uint64) kernel.Op {
 	instr := 2_000 + extraInstr
-	return kernel.OpExec{Block: isa.Block{
+	return kernel.OpExec{Block: &isa.Block{
 		Instr:    instr,
 		Loads:    instr / 4,
 		Stores:   instr / 10,

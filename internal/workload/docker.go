@@ -136,7 +136,7 @@ func DockerRun(img ContainerImage) kernel.Program {
 		switch stage {
 		case 0: // engine bookkeeping before the container starts
 			stage = 1
-			return kernel.OpExec{Block: isa.Block{
+			return kernel.OpExec{Block: &isa.Block{
 				Instr: 4_000_000, Loads: 1_200_000, Stores: 500_000, Branches: 300_000,
 				Mem:  isa.MemPattern{Base: regionDocker, Footprint: 1 << 20, Stride: 8},
 				Priv: isa.User,

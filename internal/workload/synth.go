@@ -69,7 +69,7 @@ func OSNoise(seed uint64) kernel.Program {
 	return kernel.ProgramFunc(func(k *kernel.Kernel, p *kernel.Process) kernel.Op {
 		if working {
 			working = false
-			return kernel.OpExec{Block: isa.Block{
+			return kernel.OpExec{Block: &isa.Block{
 				Instr:    100_000 + rng.Uint64n(400_000),
 				Loads:    60_000,
 				Stores:   25_000,

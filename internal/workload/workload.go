@@ -206,11 +206,14 @@ func (sp *ScriptProgram) Next(k *kernel.Kernel, p *kernel.Process) kernel.Op {
 		return sp.finish(k, p)
 	}
 	sp.runLeft--
-	return sp.emit(k, p, sp.stream.Runs[sp.runIx].Block)
+	return sp.emit(k, p, &sp.stream.Runs[sp.runIx].Block)
 }
 
 // emit accounts one block emission against the hook cadence and wraps it.
-func (sp *ScriptProgram) emit(k *kernel.Kernel, p *kernel.Process, blk isa.Block) kernel.Op {
+// blk points into the program's own compiled stream, which every Program
+// call compiles afresh and nothing writes after compile, so the OpExec
+// carries it without copying the block or allocating.
+func (sp *ScriptProgram) emit(k *kernel.Kernel, p *kernel.Process, blk *isa.Block) kernel.Op {
 	sp.sinceHook += blk.Instr
 	if sp.HookEvery > 0 && sp.sinceHook >= sp.HookEvery {
 		sp.sinceHook = 0

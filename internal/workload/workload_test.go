@@ -364,7 +364,7 @@ func checkMatchesWalk(t *testing.T, s Script) {
 		if bad {
 			return
 		}
-		if ex, ok := sp.Next(nil, nil).(kernel.OpExec); !ok || ex.Block != want {
+		if ex, ok := sp.Next(nil, nil).(kernel.OpExec); !ok || *ex.Block != want {
 			t.Errorf("%s: block %d is %+v, the phase walk emits %+v", s.Name, n, ex.Block, want)
 			bad = true
 		}

@@ -6,11 +6,13 @@
 #   bench_kernel.sh [BASE]   check the working tree against BASE (default
 #                            HEAD^; in CI's pull_request checkout that is
 #                            the base branch tip):
-#     1. allocation  the zero-allocation tests (-run NoAlloc) pass without
-#                    -race, which they skip under;
-#     2. paired      BASE is checked out under .bench_build/, both sides'
-#                    test binaries are built, and each package's benchmarks
-#                    run in PAIRS pairs, alternating which side goes first.
+#     1. allocation  the zero-allocation tests (-run NoAlloc) of the kernel,
+#                    the K-LEB module and the compiled workload stream pass
+#                    without -race, which they skip under;
+#     2. paired      BASE is checked out under .bench_build/ (checkout in
+#                    bench_lib.sh), both sides' test binaries are built,
+#                    and each package's benchmarks run in PAIRS pairs,
+#                    alternating which side goes first.
 #                    Every benchmark prints both sides' median ns/op
 #                    [Q1, Q3], the HEAD/BASE ratios of the medians and of
 #                    the fastest runs, and the wins;
@@ -33,6 +35,8 @@
 set -euo pipefail
 
 cd "$(git rev-parse --show-toplevel)"
+# shellcheck source=scripts/bench_lib.sh
+. scripts/bench_lib.sh
 
 PAIRS=10
 BENCHTIME=100ms
@@ -93,31 +97,6 @@ run_entry() {
             '/^Benchmark/ { for (i = 3; i < NF; i += 2) print side, pkg, $1, $(i + 1), $i }' >>"$raw"
 }
 
-# STATS defines the awk helpers both reports use. collect files a raw line
-# under its key (benchmark name and unit): vals[side, key, i] is the i-th
-# reading, count[side, key] their number. quantile(side, key, q) is the q
-# quantile of a side's readings: 0 the fastest, 0.5 the median.
-STATS='
-function quantile(side, key, q,    n, i, j, t, a, p, lo) {
-    n = count[side, key]
-    for (i = 1; i <= n; i++) a[i] = vals[side, key, i]
-    for (i = 2; i <= n; i++) {
-        t = a[i]
-        for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]
-        a[j + 1] = t
-    }
-    p = 1 + (n - 1) * q
-    lo = int(p)
-    return lo >= n ? a[n] : a[lo] + (p - lo) * (a[lo + 1] - a[lo])
-}
-function collect() {
-    key = $3 SUBSEP $4
-    if (!((key) in seen)) { seen[key] = 1; order[++keys] = key }
-    count[$1, key]++
-    vals[$1, key, count[$1, key]] = $5
-    pkgof[key] = $2
-}'
-
 mkdir -p "$build"
 rm -rf "$bins" "$raw" "$log"
 
@@ -157,12 +136,10 @@ base=$(git rev-parse --verify --quiet "${1:-HEAD^}^{commit}") || {
 }
 
 echo "==> allocation tests (NoAlloc, without -race)"
-go test -count=1 -run NoAlloc ./internal/kernel ./internal/kleb
+go test -count=1 -run NoAlloc ./internal/kernel ./internal/kleb ./internal/workload
 
 echo "==> building test binaries: BASE $(git rev-parse --short "$base") and the working tree"
-rm -rf "$build/base"
-mkdir -p "$build/base"
-git archive "$base" | tar -x -C "$build/base"
+checkout "$base" "$build/base"
 build_side base "$build/base"
 build_side head .
 
