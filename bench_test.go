@@ -1,8 +1,8 @@
 // BenchmarkArtifacts regenerates every table and figure of the paper and
 // every extension study (DESIGN.md §3), one sub-benchmark per
-// experiments.Registry entry, each at its default configuration. The
-// numbers themselves are in each rendered artifact and its golden; this
-// times them. Workers follows GOMAXPROCS, so
+// experiments.Registry entry, each at its default trials, and fails if a
+// study's paper claims do not hold there. The numbers themselves are in
+// each rendered artifact and its golden; this times them. Workers follows GOMAXPROCS, so
 //
 //	go test -bench Artifacts -cpu 1,2 -benchtime 1x .
 //

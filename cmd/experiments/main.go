@@ -2,7 +2,8 @@
 // evaluation and the extension studies, one experiments.Registry entry per
 // study (DESIGN.md §3 indexes them against the paper). Run `experiments -h`
 // for the list of names; `experiments all` runs every paper-facing entry
-// once.
+// once. Each study prints its artifact, then checks the paper's claims
+// against its own numbers: a violated claim exits 1.
 //
 // Every experiment fans its independent simulated runs over a worker pool
 // (-workers, default GOMAXPROCS); results are bit-identical for any pool

@@ -181,9 +181,6 @@ func (c *Core) Caches() *cache.Hierarchy { return c.caches }
 // PMU returns the core's performance monitoring unit.
 func (c *Core) PMU() *pmu.PMU { return c.pmu }
 
-// Predictor returns the core's branch predictor.
-func (c *Core) Predictor() *branch.Predictor { return c.pred }
-
 // OnContextSwitch applies the microarchitectural damage of switching to a
 // different process: partial cache pollution, branch history loss, and a
 // full TLB flush (address-space change). The fractions come from the

@@ -20,22 +20,6 @@ import (
 // rate, where the safety mechanism is under the most pressure.
 const ablationPeriod = 100 * ktime.Microsecond
 
-// BufferAblationConfig parameterizes the ring-size sweep.
-type BufferAblationConfig struct {
-	// Sizes are the ring capacities to sweep (defaults: 64 → 4096).
-	Sizes []int
-	// Seed drives the runs.
-	Seed uint64
-	// Workers sizes the scheduler's pool (0 = GOMAXPROCS).
-	Workers int
-}
-
-func (c *BufferAblationConfig) defaults() {
-	if len(c.Sizes) == 0 {
-		c.Sizes = []int{64, 128, 256, 512, 1024, 4096}
-	}
-}
-
 // BufferAblationRow is one ring size's outcome.
 type BufferAblationRow struct {
 	Size int
@@ -58,14 +42,14 @@ type BufferAblationResult struct {
 	Rows          []BufferAblationRow
 }
 
-// RunBufferAblation sweeps the kernel ring size at a fixed 50ms drain
-// cadence. Undersized rings trip the buffer-full safety pause (losing
-// coverage, not correctness); the default 8192-sample ring keeps the pause
-// dormant at 100µs with 50ms drains, which is the design point the module
-// ships with.
-func RunBufferAblation(cfg BufferAblationConfig) (*BufferAblationResult, error) {
+// RunBufferAblation sweeps the kernel ring size from 64 to 4096 samples at
+// a fixed 50ms drain cadence. Undersized rings trip the buffer-full safety
+// pause (losing coverage, not correctness); a large enough ring keeps the
+// pause dormant at 100µs with 50ms drains. The shipped 8192-sample ring is
+// what RunDrainAblation runs.
+func RunBufferAblation(p Params) (*BufferAblationResult, error) {
 	const drain = 50 * ktime.Millisecond
-	cfg.defaults()
+	sizes := []int{64, 128, 256, 512, 1024, 4096}
 	script := workload.Synthetic{
 		Name:       "ablation-target",
 		TotalInstr: 1_500_000_000, // ~330ms
@@ -75,11 +59,11 @@ func RunBufferAblation(cfg BufferAblationConfig) (*BufferAblationResult, error) 
 	res := &BufferAblationResult{Period: ablationPeriod, DrainInterval: drain}
 
 	// One batch: the unmonitored baseline plus one run per ring size.
-	specs := []session.Spec{baselineSpec(ProfileFor(KLEB), cfg.Seed, script)}
-	for _, size := range cfg.Sizes {
+	specs := []session.Spec{baselineSpec(ProfileFor(KLEB), p.Seed, script)}
+	for _, size := range sizes {
 		specs = append(specs, session.Spec{
 			Profile:   ProfileFor(KLEB),
-			Seed:      cfg.Seed,
+			Seed:      p.Seed,
 			NewTarget: targetFactory(script),
 			NewTool: func() (monitor.Tool, error) {
 				tool := kleb.New()
@@ -90,13 +74,13 @@ func RunBufferAblation(cfg BufferAblationConfig) (*BufferAblationResult, error) 
 			Config: monitor.Config{Events: defaultEvents(), Period: ablationPeriod, ExcludeKernel: true},
 		})
 	}
-	runs, err := runAll(cfg.Workers, specs)
+	runs, err := runAll(p.Workers, specs)
 	if err != nil {
 		return nil, err
 	}
 	base := runs[0]
 
-	for i, size := range cfg.Sizes {
+	for i, size := range sizes {
 		run := runs[i+1]
 		row := BufferAblationRow{
 			Size:        size,
@@ -115,6 +99,39 @@ func RunBufferAblation(cfg BufferAblationConfig) (*BufferAblationResult, error) 
 	return res, nil
 }
 
+// Check tests the safety mechanism's trade: a 64-sample ring trips the
+// pause, coverage grows with ring size to near-full at 4096, and every
+// ring keeps collecting.
+func (r *BufferAblationResult) Check() error {
+	var c claims
+	row := func(size int) BufferAblationRow {
+		for _, row := range r.Rows {
+			if row.Size == size {
+				return row
+			}
+		}
+		c.failf("ring %d missing", size)
+		return BufferAblationRow{}
+	}
+	small, big := row(64), row(4096)
+	if small.Dropped == 0 {
+		c.failf("a 64-sample ring at %v with %v drains must trip the safety pause", r.Period, r.DrainInterval)
+	}
+	if big.CoveragePct < 85 {
+		c.failf("ring %d coverage %.1f%%", big.Size, big.CoveragePct)
+	}
+	if small.CoveragePct >= big.CoveragePct {
+		c.failf("coverage should grow with ring size: %.1f%% at 64, %.1f%% at 4096", small.CoveragePct, big.CoveragePct)
+	}
+	// Correctness is never sacrificed: every ring keeps collecting.
+	for _, row := range r.Rows {
+		if row.Collected == 0 {
+			c.failf("ring %d collected nothing", row.Size)
+		}
+	}
+	return c.err("buffers")
+}
+
 // Render writes the buffer ablation table.
 func (r *BufferAblationResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Buffer-size ablation — %v sampling, %v drains (safety-pause behaviour)\n",
@@ -123,27 +140,6 @@ func (r *BufferAblationResult) Render(w io.Writer) {
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%10d %10d %10d %10.1f %10.2f\n",
 			row.Size, row.Collected, row.Dropped, row.CoveragePct, row.OverheadPct)
-	}
-}
-
-// DrainAblationConfig parameterizes the controller-cadence sweep.
-type DrainAblationConfig struct {
-	// Intervals are the controller drain cadences to sweep.
-	Intervals []ktime.Duration
-	// Seed drives the runs.
-	Seed uint64
-	// Workers sizes the scheduler's pool (0 = GOMAXPROCS).
-	Workers int
-}
-
-func (c *DrainAblationConfig) defaults() {
-	if len(c.Intervals) == 0 {
-		c.Intervals = []ktime.Duration{
-			10 * ktime.Millisecond,
-			50 * ktime.Millisecond,
-			100 * ktime.Millisecond,
-			400 * ktime.Millisecond,
-		}
 	}
 }
 
@@ -161,11 +157,16 @@ type DrainAblationResult struct {
 	Rows   []DrainAblationRow
 }
 
-// RunDrainAblation sweeps the controller's drain cadence at the default
+// RunDrainAblation sweeps the controller's drain cadence at the shipped
 // ring size: draining too eagerly wastes cycles on wakeups, draining too
 // lazily risks the safety pause once the cadence outruns the ring.
-func RunDrainAblation(cfg DrainAblationConfig) (*DrainAblationResult, error) {
-	cfg.defaults()
+func RunDrainAblation(p Params) (*DrainAblationResult, error) {
+	intervals := []ktime.Duration{
+		10 * ktime.Millisecond,
+		50 * ktime.Millisecond,
+		100 * ktime.Millisecond,
+		400 * ktime.Millisecond,
+	}
 	script := workload.Synthetic{
 		Name:       "ablation-target",
 		TotalInstr: 1_500_000_000,
@@ -175,11 +176,11 @@ func RunDrainAblation(cfg DrainAblationConfig) (*DrainAblationResult, error) {
 	res := &DrainAblationResult{Period: ablationPeriod}
 
 	// One batch: the unmonitored baseline plus one run per drain cadence.
-	specs := []session.Spec{baselineSpec(ProfileFor(KLEB), cfg.Seed, script)}
-	for _, interval := range cfg.Intervals {
+	specs := []session.Spec{baselineSpec(ProfileFor(KLEB), p.Seed, script)}
+	for _, interval := range intervals {
 		specs = append(specs, session.Spec{
 			Profile:   ProfileFor(KLEB),
-			Seed:      cfg.Seed,
+			Seed:      p.Seed,
 			NewTarget: targetFactory(script),
 			NewTool: func() (monitor.Tool, error) {
 				tool := kleb.New()
@@ -189,12 +190,12 @@ func RunDrainAblation(cfg DrainAblationConfig) (*DrainAblationResult, error) {
 			Config: monitor.Config{Events: defaultEvents(), Period: ablationPeriod, ExcludeKernel: true},
 		})
 	}
-	runs, err := runAll(cfg.Workers, specs)
+	runs, err := runAll(p.Workers, specs)
 	if err != nil {
 		return nil, err
 	}
 	base := runs[0]
-	for i, interval := range cfg.Intervals {
+	for i, interval := range intervals {
 		run := runs[i+1]
 		res.Rows = append(res.Rows, DrainAblationRow{
 			Interval:    interval,
@@ -204,6 +205,37 @@ func RunDrainAblation(cfg DrainAblationConfig) (*DrainAblationResult, error) {
 		})
 	}
 	return res, nil
+}
+
+// Check tests the cadence trade at the shipped ring: draining every 10ms
+// costs more than every 100ms (the wakeup tax), and every cadence whose
+// samples per drain fit the ring keeps the safety pause dormant. All four
+// do: 400ms drains at 100µs buffer 4000 samples, under 8192.
+func (r *DrainAblationResult) Check() error {
+	var c claims
+	row := func(interval ktime.Duration) DrainAblationRow {
+		for _, row := range r.Rows {
+			if row.Interval == interval {
+				return row
+			}
+		}
+		c.failf("cadence %v missing", interval)
+		return DrainAblationRow{}
+	}
+	eager, mid := row(10*ktime.Millisecond), row(100*ktime.Millisecond)
+	if eager.OverheadPct <= mid.OverheadPct {
+		c.failf("eager drains should cost more: 10ms=%.2f%% vs 100ms=%.2f%%", eager.OverheadPct, mid.OverheadPct)
+	}
+	for _, row := range r.Rows {
+		if row.Collected == 0 {
+			c.failf("cadence %v collected nothing", row.Interval)
+		}
+		if fits := row.Interval/r.Period <= kleb.DefaultBufferSamples; fits && row.Dropped != 0 {
+			c.failf("the shipped %d-sample ring must keep the pause dormant at %v drains, dropped %d periods",
+				kleb.DefaultBufferSamples, row.Interval, row.Dropped)
+		}
+	}
+	return c.err("drains")
 }
 
 // Render writes the drain ablation table.

@@ -90,6 +90,58 @@ func RunCharacterize(p Params) (*CharacterizeResult, error) {
 	return res, nil
 }
 
+// Check tests that the suite's fingerprints separate as their families
+// should: compute vs memory bound, predictable vs dispatch-heavy branches,
+// and prefetched streaming vs random chasing.
+func (r *CharacterizeResult) Check() error {
+	var c claims
+	if len(r.Rows) != 6 {
+		c.failf("suite rows: %d, want 6", len(r.Rows))
+	}
+	get := func(name string) CharacterizeRow {
+		row, ok := r.Row(name)
+		if !ok {
+			c.failf("%s missing", name)
+		}
+		return row
+	}
+	crypto, chaser, interp := get("crypto"), get("pointer-chaser"), get("interpreter")
+	stencil, compressor := get("stencil"), get("compressor")
+
+	// Compute-bound vs memory-bound: order of magnitude apart in IPC.
+	if crypto.IPC < 10*chaser.IPC {
+		c.failf("IPC separation: crypto %.2f vs pointer-chaser %.2f", crypto.IPC, chaser.IPC)
+	}
+	if crypto.MPKI > 0.1 {
+		c.failf("crypto MPKI %.2f; its tables fit in L1", crypto.MPKI)
+	}
+	if chaser.MPKI < 30 {
+		c.failf("pointer-chaser MPKI %.2f; it should live in DRAM", chaser.MPKI)
+	}
+	// Branch behaviour: the interpreter's dispatch loop mispredicts far
+	// more per branch than the stencil's trip-count loops.
+	if interp.MissPer1KBr < 10*stencil.MissPer1KBr {
+		c.failf("branch separation: interpreter %.1f vs stencil %.1f",
+			interp.MissPer1KBr, stencil.MissPer1KBr)
+	}
+	// Streaming with prefetch beats random chasing per miss: the stencil
+	// has high MPKI yet much better IPC than the chaser.
+	if stencil.MPKI < 10 || stencil.IPC < 2*chaser.IPC {
+		c.failf("prefetch effect missing: stencil IPC %.2f MPKI %.1f vs chaser IPC %.2f",
+			stencil.IPC, stencil.MPKI, chaser.IPC)
+	}
+	// The branchy integer code is branch-dominated but cache-friendly.
+	if compressor.BranchPct < 15 || compressor.MPKI > 1 {
+		c.failf("compressor fingerprint: branch%%=%.1f MPKI=%.2f", compressor.BranchPct, compressor.MPKI)
+	}
+	for _, row := range r.Rows {
+		if row.Samples == 0 || row.Elapsed == 0 {
+			c.failf("%s: degenerate run", row.Name)
+		}
+	}
+	return c.err("suite")
+}
+
 // Render writes the characterization table.
 func (r *CharacterizeResult) Render(w io.Writer) {
 	fmt.Fprintln(w, "Workload characterization via K-LEB (per-benchmark fingerprints)")

@@ -19,23 +19,6 @@ import (
 // containers running on two cores of one socket and shows that the MPKI
 // classes collected by K-LEB predict which pairings interfere.
 
-// ColocateConfig parameterizes the interference matrix.
-type ColocateConfig struct {
-	// Images are the container images to cross (defaults: one per MPKI
-	// tier — ruby/compute, mysql/LLC-resident, apache/streaming).
-	Images []string
-	// Seed drives the runs.
-	Seed uint64
-	// Workers sizes the scheduler's pool (0 = GOMAXPROCS).
-	Workers int
-}
-
-func (c *ColocateConfig) defaults() {
-	if len(c.Images) == 0 {
-		c.Images = []string{"ruby", "mysql", "apache"}
-	}
-}
-
 // ColocateCell is one (workload, neighbour) measurement.
 type ColocateCell struct {
 	Image     string
@@ -67,9 +50,8 @@ func (r *ColocateResult) Cell(image, neighbour string) (ColocateCell, bool) {
 // each neighbour on the other core of a shared-LLC socket. Every socket
 // run is independent, so the solo baselines and the full matrix fan out
 // over one scheduler batch.
-func RunColocate(cfg ColocateConfig) (*ColocateResult, error) {
-	cfg.defaults()
-	res := &ColocateResult{Images: cfg.Images, Solo: map[string]ktime.Duration{}}
+func RunColocate(p Params, images []string) (*ColocateResult, error) {
+	res := &ColocateResult{Images: images, Solo: map[string]ktime.Duration{}}
 
 	runPair := func(a, b string) (ktime.Duration, ktime.Duration, error) {
 		var pa, pb *kernel.Process
@@ -85,7 +67,7 @@ func RunColocate(cfg ColocateConfig) (*ColocateResult, error) {
 		}
 		_, err := session.RunCluster(session.ClusterSpec{
 			Profile: ProfileFor(KLEB),
-			Seed:    cfg.Seed,
+			Seed:    p.Seed,
 			Cores:   2,
 			Place: func(cores []*machine.Machine) error {
 				var err error
@@ -113,11 +95,11 @@ func RunColocate(cfg ColocateConfig) (*ColocateResult, error) {
 	// matrix (one socket run yields both the (a,b) and (b,a) cells).
 	type job struct{ a, b string }
 	var jobs []job
-	for _, image := range cfg.Images {
+	for _, image := range images {
 		jobs = append(jobs, job{image, ""})
 	}
-	for i, a := range cfg.Images {
-		for j, b := range cfg.Images {
+	for i, a := range images {
+		for j, b := range images {
 			if j < i {
 				continue
 			}
@@ -129,7 +111,7 @@ func RunColocate(cfg ColocateConfig) (*ColocateResult, error) {
 		err    error
 	}
 	outs := make([]outcome, len(jobs))
-	session.Scheduler{Workers: cfg.Workers}.ForEach(len(jobs), func(i int) {
+	session.Scheduler{Workers: p.Workers}.ForEach(len(jobs), func(i int) {
 		o := &outs[i]
 		o.ra, o.rb, o.err = runPair(jobs[i].a, jobs[i].b)
 	})
@@ -154,6 +136,50 @@ func RunColocate(cfg ColocateConfig) (*ColocateResult, error) {
 				Slowdown: float64(outs[i].rb) / float64(res.Solo[j.b])})
 	}
 	return res, nil
+}
+
+// Check tests the placement rule the matrix exists to show: compute is
+// immune to any neighbour, the LLC-resident container co-runs freely with
+// compute but is hurt by anything that fights for the LLC (a streaming
+// neighbour most), and the stream barely notices it. The claims name the
+// registry's trio of images.
+func (r *ColocateResult) Check() error {
+	var c claims
+	slow := func(image, neighbour string) float64 {
+		cell, ok := r.Cell(image, neighbour)
+		if !ok {
+			c.failf("missing cell %s|%s", image, neighbour)
+		}
+		return cell.Slowdown
+	}
+	// The compute-intensive container is immune to any neighbour.
+	for _, n := range r.Images {
+		if s := slow("ruby", n); s > 1.05 {
+			c.failf("ruby slowed %.2fx by %s; compute workloads should not care", s, n)
+		}
+	}
+	// The LLC-resident container is fine next to compute, hurt next to
+	// anything that fights for the LLC — the placement rule K-LEB's MPKI
+	// classification exists to drive.
+	if s := slow("mysql", "ruby"); s > 1.08 {
+		c.failf("mysql|ruby %.2fx; different classes should co-run freely", s)
+	}
+	if s := slow("mysql", "mysql"); s < 1.12 {
+		c.failf("mysql|mysql %.2fx; two LLC-resident sets must thrash a shared LLC", s)
+	}
+	if s := slow("mysql", "apache"); s < 1.3 {
+		c.failf("mysql|apache %.2fx; a streaming neighbour should evict the resident set", s)
+	}
+	// Interference is asymmetric: the stream barely notices the victim.
+	if s := slow("apache", "mysql"); s > 1.15 {
+		c.failf("apache|mysql %.2fx; DRAM-bound streams should be mostly immune", s)
+	}
+	// And bad pairings hurt more than good ones, in order.
+	if !(slow("mysql", "ruby") < slow("mysql", "mysql") && slow("mysql", "mysql") < slow("mysql", "apache")) {
+		c.failf("interference ordering broken: mysql|ruby %.2fx, mysql|mysql %.2fx, mysql|apache %.2fx",
+			slow("mysql", "ruby"), slow("mysql", "mysql"), slow("mysql", "apache"))
+	}
+	return c.err("colocate")
 }
 
 // Render writes the slowdown matrix.

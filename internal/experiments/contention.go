@@ -37,14 +37,15 @@ type ContentionResult struct {
 	Latency ktime.Duration
 }
 
-// RunContention performs the study at a 1ms sampling period.
-func RunContention(seed uint64) (*ContentionResult, error) {
+// RunContention performs the study at a 1ms sampling period. It is one
+// cluster run, so it ignores p.Workers.
+func RunContention(p Params) (*ContentionResult, error) {
 	events := []isa.Event{isa.EvLLCMisses, isa.EvInstructions}
 	tool := kleb.New()
 	start := ktime.Time(700 * ktime.Millisecond)
 	_, err := session.RunCluster(session.ClusterSpec{
 		Profile: ProfileFor(KLEB),
-		Seed:    seed,
+		Seed:    p.Seed,
 		Cores:   2,
 		Place: func(cores []*machine.Machine) error {
 			// Victim: the LLC-resident container, monitored by K-LEB on
@@ -111,6 +112,22 @@ func RunContention(seed uint64) (*ContentionResult, error) {
 		res.Latency = res.DetectedAt.Sub(res.NeighbourStart)
 	}
 	return res, nil
+}
+
+// Check tests that the sibling stream visibly raises the victim's miss
+// rate and that the online detector flags it after the neighbour starts,
+// quickly enough for a scheduler to react.
+func (r *ContentionResult) Check() error {
+	var c claims
+	if r.AfterMPKI < 1.4*r.BeforeMPKI {
+		c.failf("no contention visible: before %.2f after %.2f", r.BeforeMPKI, r.AfterMPKI)
+	}
+	if r.DetectedAt <= r.NeighbourStart {
+		c.failf("flag at %v precedes the neighbour at %v", r.DetectedAt, r.NeighbourStart)
+	} else if r.Latency > 100*ktime.Millisecond {
+		c.failf("detection latency %v too slow to act on", r.Latency)
+	}
+	return c.err("contention")
 }
 
 // Render writes the study summary.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"kleb/internal/isa"
 	"kleb/internal/kernel"
@@ -92,6 +93,52 @@ func (r *DockerResult) RowsFor(machineName string) []DockerRow {
 		}
 	}
 	return out
+}
+
+// Check tests Fig 5's claims: every image lands in the paper's MPKI
+// class, the interpreters stay under 1 MPKI, and the images' MPKI tiers
+// order the same way on both machines (§IV-B).
+func (r *DockerResult) Check() error {
+	var c claims
+	if len(r.Rows) != 18 {
+		c.failf("rows: %d, want 18", len(r.Rows))
+	}
+	for _, row := range r.Rows {
+		if row.Class != row.Expected {
+			c.failf("%s on %s: classified %s (MPKI %.2f), paper says %s",
+				row.Image, row.Machine, row.Class, row.MPKI, row.Expected)
+		}
+		// Interpreters under 1 MPKI (paper: "less than 1 on average").
+		if (row.Image == "ruby" || row.Image == "golang" || row.Image == "python") && row.MPKI >= 1 {
+			c.failf("%s MPKI %.2f, paper says <1", row.Image, row.MPKI)
+		}
+	}
+	// Cross-machine trend: every interpreter ranks below every middleware
+	// image, which ranks below every web server, on both machines — the
+	// class-tier ordering rather than exact positions.
+	tier := func(img string) int {
+		w, _ := workload.ImageByName(img)
+		switch {
+		case w.Class == workload.MemoryIntensive:
+			return 2
+		case w.Name == "mysql" || w.Name == "traefik" || w.Name == "ghost":
+			return 1
+		default:
+			return 0
+		}
+	}
+	for _, prof := range []machine.Profile{machine.Nehalem(), machine.CascadeLake()} {
+		rows := r.RowsFor(prof.Name)
+		sort.SliceStable(rows, func(i, j int) bool { return rows[i].MPKI < rows[j].MPKI })
+		for i := 1; i < len(rows); i++ {
+			if tier(rows[i-1].Image) > tier(rows[i].Image) {
+				c.failf("MPKI tier ordering violated on %s: %s (%.2f) has less MPKI than %s (%.2f)",
+					prof.Name, rows[i-1].Image, rows[i-1].MPKI, rows[i].Image, rows[i].MPKI)
+				break
+			}
+		}
+	}
+	return c.err("Fig 5")
 }
 
 // Render writes the Fig 5 table.

@@ -153,6 +153,70 @@ func (r *LinpackResult) Render(w io.Writer) {
 	}
 }
 
+// Check tests Table I's GFLOPS and loss ordering and Fig 4's phase
+// structure.
+func (r *LinpackResult) Check() error {
+	var c claims
+	base, _ := r.Row("none")
+	kleb, _ := r.Row(string(KLEB))
+	stat, _ := r.Row(string(PerfStat))
+	rec, _ := r.Row(string(PerfRecord))
+	// Paper Table I: 37.24 GFLOPS unprofiled.
+	if base.GFLOPS < 34 || base.GFLOPS > 41 {
+		c.failf("baseline GFLOPS %.2f (paper 37.24)", base.GFLOPS)
+	}
+	// Loss ordering: K-LEB ≈ perf record ≪ perf stat.
+	if kleb.LossPct > 2 {
+		c.failf("K-LEB loss %.2f%% (paper 0.64%%)", kleb.LossPct)
+	}
+	if stat.LossPct < 2.5 {
+		c.failf("perf stat loss %.2f%% (paper 7.08%%)", stat.LossPct)
+	}
+	if kleb.LossPct >= stat.LossPct || rec.LossPct >= stat.LossPct {
+		c.failf("loss ordering: kleb=%.2f rec=%.2f stat=%.2f", kleb.LossPct, rec.LossPct, stat.LossPct)
+	}
+	for _, row := range r.Rows {
+		if row.LossPct < 0 {
+			c.failf("%s shows negative loss %.2f%%", row.Tool, row.LossPct)
+		}
+	}
+
+	muls, stores := r.Series[isa.EvMulOps], r.Series[isa.EvStores]
+	if len(muls) < 100 {
+		c.failf("Fig 4 series too short: %d samples", len(muls))
+		return c.err("Table I / Fig 4")
+	}
+	// Fig 4 phase structure: the first ~10% of samples (init + setup) show
+	// essentially no multiplications while stores are already active...
+	tenth := len(muls) / 10
+	var mulHead, mulTail, storeHead, storeTail float64
+	for i := 0; i < tenth; i++ {
+		mulHead += muls[i]
+		storeHead += stores[i]
+	}
+	for i := tenth; i < len(muls); i++ {
+		mulTail += muls[i]
+	}
+	mulHeadRate := mulHead / float64(tenth)
+	mulTailRate := mulTail / float64(len(muls)-tenth)
+	if mulHeadRate > 0.05*mulTailRate {
+		c.failf("ARITH.MUL should be flat before the solve: head=%.0f/sample tail=%.0f/sample",
+			mulHeadRate, mulTailRate)
+	}
+	if storeHead == 0 {
+		c.failf("STOREs should be active during setup")
+	}
+	// ...and the solve region repeats load/compute/store cycles: stores
+	// keep appearing throughout.
+	for i := len(stores) - tenth; i < len(stores); i++ {
+		storeTail += stores[i]
+	}
+	if storeTail == 0 {
+		c.failf("solve-store phases missing at the end of the run")
+	}
+	return c.err("Table I / Fig 4")
+}
+
 func seriesLen(r *LinpackResult) int {
 	for _, s := range r.Series {
 		return len(s)

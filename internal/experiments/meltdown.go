@@ -98,6 +98,49 @@ func runMeltdownSide(p Params, rounds int, name string, script workload.Script) 
 	return side, nil
 }
 
+// Check tests Fig 6's and Fig 7's claims: the attack raises LLC
+// references, misses and MPKI (§IV-C), the victim finishes before a 10ms
+// tool's first sample while K-LEB at 100µs records a real series, and the
+// attack lengthens both the run and the series.
+func (r *MeltdownResult) Check() error {
+	var c claims
+	v, a := r.Victim, r.Attack
+	// Fig 6: the attack raises LLC references and misses substantially.
+	if a.LLCRefs < 1.4*v.LLCRefs {
+		c.failf("LLC refs: attack %.0f vs victim %.0f", a.LLCRefs, v.LLCRefs)
+	}
+	if a.LLCMisses < 1.5*v.LLCMisses {
+		c.failf("LLC misses: attack %.0f vs victim %.0f", a.LLCMisses, v.LLCMisses)
+	}
+	// §IV-C: MPKI jumps (paper: 7.52 → 27.53).
+	if v.MPKI > 15 {
+		c.failf("victim MPKI %.2f (paper 7.52)", v.MPKI)
+	}
+	if a.MPKI < 1.8*v.MPKI {
+		c.failf("MPKI jump too small: %.2f -> %.2f", v.MPKI, a.MPKI)
+	}
+	// The victim finishes in under 10ms, so a 10ms tool gets ≤1 sample
+	// while K-LEB at 100µs gets a real series.
+	if v.MeanElapsed >= 10*ktime.Millisecond {
+		c.failf("victim elapsed %v, must be <10ms", v.MeanElapsed)
+	}
+	if v.PerfStatSmpls >= 1.5 {
+		c.failf("a 10ms tool should get ≈≤1 victim sample, got %.1f", v.PerfStatSmpls)
+	}
+	if v.MeanSamples < 30 {
+		c.failf("K-LEB 100µs victim series too short: %.0f", v.MeanSamples)
+	}
+	// The attack run takes longer and yields more samples (paper Fig 7).
+	if a.MeanSamples <= v.MeanSamples || a.MeanElapsed <= v.MeanElapsed {
+		c.failf("attack should lengthen the run and the series: %.1f samples in %v vs victim's %.1f in %v",
+			a.MeanSamples, a.MeanElapsed, v.MeanSamples, v.MeanElapsed)
+	}
+	if len(a.Series[isa.EvLLCMisses]) == 0 {
+		c.failf("Fig 7 series missing")
+	}
+	return c.err("Fig 6/7")
+}
+
 // Render writes Fig 6/Fig 7 in text form.
 func (r *MeltdownResult) Render(w io.Writer) {
 	fmt.Fprintln(w, "Fig 6 — Meltdown comparison (means per run, K-LEB @100µs)")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 
 	"kleb/internal/isa"
 	"kleb/internal/kleb"
@@ -180,46 +179,43 @@ func RunMultiplex(p Params) (*MultiplexResult, error) {
 // exactly (single round, no scaling), and every oversubscribed mix both
 // rotates and shows real extrapolation error against the exact counts.
 func (r *MultiplexResult) Check() error {
-	var bad []string
+	var c claims
 	for _, row := range r.Rows {
 		over := row.N > 4
 		if !over {
 			if row.Rounds != 1 {
-				bad = append(bad, fmt.Sprintf("mix of %d: %d rounds, want 1", row.N, row.Rounds))
+				c.failf("mix of %d: %d rounds, want 1", row.N, row.Rounds)
 			}
 			if row.Estimated {
-				bad = append(bad, fmt.Sprintf("mix of %d: perf stat scaled a mix that fits the counters", row.N))
+				c.failf("mix of %d: perf stat scaled a mix that fits the counters", row.N)
 			}
-			for _, c := range row.Cells {
-				if c.Scale != 1.0 {
-					bad = append(bad, fmt.Sprintf("mix of %d: %v scaled x%.3f without multiplexing", row.N, c.Event, c.Scale))
+			for _, cell := range row.Cells {
+				if cell.Scale != 1.0 {
+					c.failf("mix of %d: %v scaled x%.3f without multiplexing", row.N, cell.Event, cell.Scale)
 				}
 			}
 			continue
 		}
 		if row.Rounds < 2 {
-			bad = append(bad, fmt.Sprintf("mix of %d: only %d round for >4 programmable events", row.N, row.Rounds))
+			c.failf("mix of %d: only %d round for >4 programmable events", row.N, row.Rounds)
 		}
 		if !row.Estimated {
-			bad = append(bad, fmt.Sprintf("mix of %d: perf stat did not flag its totals as estimates", row.N))
+			c.failf("mix of %d: perf stat did not flag its totals as estimates", row.N)
 		}
 		scaled := false
-		for _, c := range row.Cells {
-			if c.Scale > 1.0 {
+		for _, cell := range row.Cells {
+			if cell.Scale > 1.0 {
 				scaled = true
 			}
 		}
 		if !scaled {
-			bad = append(bad, fmt.Sprintf("mix of %d: no event carries an enabled/running scale factor", row.N))
+			c.failf("mix of %d: no event carries an enabled/running scale factor", row.N)
 		}
 		if row.MaxAbsErrPct() == 0 {
-			bad = append(bad, fmt.Sprintf("mix of %d: scaled estimates match exact counts exactly (implausible)", row.N))
+			c.failf("mix of %d: scaled estimates match exact counts exactly (implausible)", row.N)
 		}
 	}
-	if len(bad) > 0 {
-		return fmt.Errorf("multiplex sweep: %d violations:\n  %s", len(bad), strings.Join(bad, "\n  "))
-	}
-	return nil
+	return c.err("multiplex sweep")
 }
 
 // Render writes the comparison table plus a pass/fail summary line.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"kleb/internal/ktime"
 	"kleb/internal/machine"
@@ -10,28 +11,6 @@ import (
 	"kleb/internal/session"
 	"kleb/internal/trace"
 )
-
-// OverheadConfig parameterizes the Table II / Table III / Fig 8 study.
-type OverheadConfig struct {
-	// Workload is the monitored program (default WorkloadTriple).
-	Workload Workload
-	// Trials is the number of repetitions per tool (the paper runs 100;
-	// the default regeneration uses fewer for runtime, same statistics).
-	Trials int
-	// Seed bases the per-trial seeds.
-	Seed uint64
-	// Workers sizes the scheduler's pool (0 = GOMAXPROCS).
-	Workers int
-}
-
-func (c *OverheadConfig) defaults() {
-	if c.Trials == 0 {
-		c.Trials = 15
-	}
-	if c.Workload == "" {
-		c.Workload = WorkloadTriple
-	}
-}
 
 // ToolOverhead is one tool's row in the overhead table.
 type ToolOverhead struct {
@@ -57,31 +36,32 @@ type OverheadResult struct {
 	Period       ktime.Duration
 	Trials       int
 	BaselineMean ktime.Duration
-	BaselineRuns []ktime.Duration
 	Rows         []ToolOverhead
 }
 
 // RunOverhead measures per-tool run-time overhead at the paper's 10ms
 // period: for each trial seed it runs an unmonitored baseline and one run
 // per tool on the *same* seed and machine profile, then compares execution
-// times. This regenerates Table II (triple loop), Table III (dgemm) and the
-// Fig 8 distributions. The baselines run as one scheduler batch and the
-// monitored trials as a second (tool construction needs the baseline
-// elapsed time to size the instrumented tools' point counts).
-func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
+// times, over p.Trials trials per tool (default 15; the paper runs 100,
+// with the same statistics). This regenerates Table II and the Fig 8
+// distributions (triple loop) and Table III (dgemm). The baselines run as
+// one scheduler batch and the monitored trials as a second (tool
+// construction needs the baseline elapsed time to size the instrumented
+// tools' point counts).
+func RunOverhead(p Params, wl Workload) (*OverheadResult, error) {
 	const period = 10 * ktime.Millisecond
-	cfg.defaults()
-	script, err := scriptFor(cfg.Workload)
+	trials := p.trials(15)
+	script, err := scriptFor(wl)
 	if err != nil {
 		return nil, err
 	}
-	res := &OverheadResult{Workload: cfg.Workload, Period: period, Trials: cfg.Trials}
+	res := &OverheadResult{Workload: wl, Period: period, Trials: trials}
 
 	// Table III's MKL workload needs the modern OS, so every tool runs the
 	// stock kernel there, and LiMiT — which only exists as a patch to the
 	// legacy kernel — comes out "n/a" exactly as in the paper.
 	profileFor := func(kind ToolKind) machine.Profile {
-		if cfg.Workload == WorkloadDgemm {
+		if wl == WorkloadDgemm {
 			return machine.Nehalem()
 		}
 		return ProfileFor(kind)
@@ -100,43 +80,43 @@ func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
 	}
 	var baseSpecs []session.Spec
 	for _, prof := range profiles {
-		for trial := 0; trial < cfg.Trials; trial++ {
-			baseSpecs = append(baseSpecs, baselineSpec(prof, cfg.Seed+uint64(trial)*7919, script))
+		for trial := 0; trial < trials; trial++ {
+			baseSpecs = append(baseSpecs, baselineSpec(prof, p.Seed+uint64(trial)*7919, script))
 		}
 	}
-	baseRuns, err := runAll(cfg.Workers, baseSpecs)
+	baseRuns, err := runAll(p.Workers, baseSpecs)
 	if err != nil {
 		return nil, err
 	}
 	baselines := map[string][]ktime.Duration{}
 	for pi, prof := range profiles {
-		for trial := 0; trial < cfg.Trials; trial++ {
-			baselines[prof.Name] = append(baselines[prof.Name], baseRuns[pi*cfg.Trials+trial].Elapsed)
+		for trial := 0; trial < trials; trial++ {
+			baselines[prof.Name] = append(baselines[prof.Name], baseRuns[pi*trials+trial].Elapsed)
 		}
 	}
 
 	// Batch 2: one monitored run per (tool, trial).
 	var specs []session.Spec
 	for _, kind := range tools {
-		for trial := 0; trial < cfg.Trials; trial++ {
+		for trial := 0; trial < trials; trial++ {
 			base := baselines[profileFor(kind).Name][trial]
 			specs = append(specs, session.Spec{
 				Profile:    profileFor(kind),
-				Seed:       cfg.Seed + uint64(trial)*7919,
+				Seed:       p.Seed + uint64(trial)*7919,
 				NewTarget:  targetFactory(script),
 				NewTool:    toolFactory(kind, pointsFor(base, period)),
 				Config:     monitor.Config{Events: defaultEvents(), Period: period, ExcludeKernel: true},
-				TargetName: string(cfg.Workload),
+				TargetName: string(wl),
 			})
 		}
 	}
-	outs := session.Scheduler{Workers: cfg.Workers}.Run(specs)
+	outs := session.Scheduler{Workers: p.Workers}.Run(specs)
 
 	for ki, kind := range tools {
 		row := ToolOverhead{Tool: kind}
 		var sampleSum float64
-		for trial := 0; trial < cfg.Trials; trial++ {
-			o := outs[ki*cfg.Trials+trial]
+		for trial := 0; trial < trials; trial++ {
+			o := outs[ki*trials+trial]
 			if o.Err != nil {
 				// A tool that cannot run this configuration at all fails on
 				// its first trial; any later failure is a real error.
@@ -170,7 +150,6 @@ func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
 
 	// The Nehalem baseline is the headline number.
 	nb := baselines[profileFor(KLEB).Name]
-	res.BaselineRuns = nb
 	var sum float64
 	for _, d := range nb {
 		sum += d.Seconds()
@@ -191,7 +170,9 @@ func (r *OverheadResult) Row(kind ToolKind) (ToolOverhead, bool) {
 	return ToolOverhead{}, false
 }
 
-// Render writes the study as a table in the paper's format.
+// Render writes the study as a table in the paper's format, followed for
+// the triple loop by Fig 8's box-and-whisker description per tool (Table
+// III has no Fig 8).
 func (r *OverheadResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Overhead study — workload %s, period %v, %d trials, baseline %v\n",
 		r.Workload, r.Period, r.Trials, r.BaselineMean)
@@ -204,11 +185,10 @@ func (r *OverheadResult) Render(w io.Writer) {
 		fmt.Fprintf(w, "%-12s %10.2f %10.2f %10.4f %10.4f %9.0f\n",
 			row.Tool, row.Mean, trace.Median(row.OverheadPct), row.Box.Q1, row.Box.Q3, row.Samples)
 	}
-}
-
-// RenderBoxes writes Fig 8's box-and-whisker description per tool.
-func (r *OverheadResult) RenderBoxes(w io.Writer) {
-	fmt.Fprintf(w, "Fig 8 — normalized execution time distribution (%d trials)\n", r.Trials)
+	if r.Workload != WorkloadTriple {
+		return
+	}
+	fmt.Fprintf(w, "\nFig 8 — normalized execution time distribution (%d trials)\n", r.Trials)
 	fmt.Fprintf(w, "%-12s %9s %9s %9s %9s %9s %9s\n", "tool", "whisk-lo", "Q1", "median", "Q3", "whisk-hi", "spread")
 	for _, row := range r.Rows {
 		if row.Unsupported != "" {
@@ -218,4 +198,97 @@ func (r *OverheadResult) RenderBoxes(w io.Writer) {
 		fmt.Fprintf(w, "%-12s %9.4f %9.4f %9.4f %9.4f %9.4f %9.4f\n",
 			row.Tool, b.WhiskerLow, b.Q1, b.Median, b.Q3, b.WhiskerHigh, b.Spread())
 	}
+}
+
+// Check tests the paper's claims. For the triple loop these are Table
+// II's ordering and bands, its ≈2s baseline, comparable sample counts and
+// Fig 8's tightest K-LEB spread; for dgemm, Table III's short-run claims.
+func (r *OverheadResult) Check() error {
+	var c claims
+	tools := AllTools()
+	rows := make([]ToolOverhead, len(tools))
+	for i, kind := range tools {
+		var ok bool
+		if rows[i], ok = r.Row(kind); !ok {
+			c.failf("%s row missing", kind)
+		}
+	}
+	study := "Table II / Fig 8"
+	if r.Workload == WorkloadDgemm {
+		study = "Table III"
+	}
+	if len(c) > 0 {
+		return c.err(study)
+	}
+	kleb, stat, rec, papi, limit := rows[0], rows[1], rows[2], rows[3], rows[4]
+	if r.Workload == WorkloadDgemm {
+		// dgemm runs in under 100ms (the Table III premise).
+		if r.BaselineMean > 100*ktime.Millisecond {
+			c.failf("dgemm baseline %v, paper says <100ms", r.BaselineMean)
+		}
+		// LiMiT is n/a on the stock kernel.
+		if !strings.Contains(limit.Unsupported, "patch") {
+			c.failf("LiMiT should be n/a in Table III: %q", limit.Unsupported)
+		}
+		// PAPI's fixed init cost blows up on the short run (paper: 21.4%).
+		if papi.Mean < 12 {
+			c.failf("PAPI dgemm overhead %.2f%% too small (paper 21.4%%)", papi.Mean)
+		}
+		if papi.Mean < 2*stat.Mean {
+			c.failf("PAPI (%.1f%%) should dwarf perf stat (%.1f%%) on the short run", papi.Mean, stat.Mean)
+		}
+		if !(kleb.Mean < rec.Mean && rec.Mean < stat.Mean && stat.Mean < papi.Mean) {
+			c.failf("Table III ordering: kleb=%.2f rec=%.2f stat=%.2f papi=%.2f",
+				kleb.Mean, rec.Mean, stat.Mean, papi.Mean)
+		}
+		if kleb.Mean > 3 {
+			c.failf("K-LEB dgemm overhead %.2f%% (paper 1.13%%)", kleb.Mean)
+		}
+		return c.err(study)
+	}
+
+	for _, row := range rows {
+		if row.Unsupported != "" {
+			c.failf("%s missing from Table II: %s", row.Tool, row.Unsupported)
+		}
+	}
+	// Paper Table II: K-LEB 0.68 < perf record ~1.65 < LiMiT 4.08 <
+	// perf stat 6.01 < PAPI 6.43.
+	if !(kleb.Mean < rec.Mean && rec.Mean < limit.Mean && limit.Mean < stat.Mean && stat.Mean < papi.Mean) {
+		c.failf("overhead ordering broken: kleb=%.2f rec=%.2f limit=%.2f stat=%.2f papi=%.2f",
+			kleb.Mean, rec.Mean, limit.Mean, stat.Mean, papi.Mean)
+	}
+	if kleb.Mean < 0.1 || kleb.Mean > 2.0 {
+		c.failf("K-LEB overhead %.2f%% outside the paper's band (~0.68%%)", kleb.Mean)
+	}
+	if papi.Mean < 4 || papi.Mean > 11 {
+		c.failf("PAPI overhead %.2f%% outside the paper's band (~6.43%%)", papi.Mean)
+	}
+	// The headline: K-LEB cuts overhead vs the next best tool by >50%
+	// (paper: 58.8% vs perf record).
+	if reduction := 100 * (1 - kleb.Mean/rec.Mean); reduction < 40 {
+		c.failf("K-LEB reduction vs perf record only %.1f%% (paper: 58.8%%)", reduction)
+	}
+	if r.BaselineMean < 1500*ktime.Millisecond || r.BaselineMean > 3*ktime.Second {
+		c.failf("triple-loop baseline %v, paper says ≈2s", r.BaselineMean)
+	}
+	// The paper matches the tools' sample counts (~200 at 10ms over ~2s).
+	for _, row := range []ToolOverhead{kleb, stat, papi, limit} {
+		if row.Samples < 150 || row.Samples > 260 {
+			c.failf("%s collected %.0f samples, want ≈200", row.Tool, row.Samples)
+		}
+	}
+	// Fig 8: K-LEB's run-to-run variation is the smallest ("the least
+	// interference ... the most consistent tool"), with a small
+	// statistical margin, and its median sits below every other tool's.
+	klebStd := trace.Summarize(kleb.Normalized).Stddev
+	for _, row := range rows[1:] {
+		if std := trace.Summarize(row.Normalized).Stddev; klebStd > std*1.2 {
+			c.failf("K-LEB normalized-time stddev %.6f exceeds %s's %.6f", klebStd, row.Tool, std)
+		}
+		if kleb.Box.Median >= row.Box.Median {
+			c.failf("K-LEB median %.4f not below %s median %.4f", kleb.Box.Median, row.Tool, row.Box.Median)
+		}
+	}
+	return c.err(study)
 }

@@ -63,7 +63,7 @@ func (r *PlacementResult) Find(name string) (Placement, bool) {
 //     core 1 — the LLC-hungry pair time-shares, never running concurrently;
 //   - "mixed-pairs": one memory + one compute job per core — the memory
 //     jobs overlap on the shared LLC about half the time.
-func RunPlacement(seed uint64, workers int) (*PlacementResult, error) {
+func RunPlacement(p Params) (*PlacementResult, error) {
 	const memImage, compImage = "mysql", "ruby"
 	res := &PlacementResult{Images: [4]string{memImage, memImage, compImage, compImage}}
 
@@ -72,7 +72,7 @@ func RunPlacement(seed uint64, workers int) (*PlacementResult, error) {
 		var procs []*kernel.Process
 		_, err := session.RunCluster(session.ClusterSpec{
 			Profile: ProfileFor(KLEB),
-			Seed:    seed,
+			Seed:    p.Seed,
 			Cores:   2,
 			Place: func(cores []*machine.Machine) error {
 				for slot, coreIdx := range assignment {
@@ -116,7 +116,7 @@ func RunPlacement(seed uint64, workers int) (*PlacementResult, error) {
 	}
 	placements := make([]Placement, len(assignments))
 	errs := make([]error, len(assignments))
-	session.Scheduler{Workers: workers}.ForEach(len(assignments), func(i int) {
+	session.Scheduler{Workers: p.Workers}.ForEach(len(assignments), func(i int) {
 		placements[i], errs[i] = run(assignments[i].name, assignments[i].at)
 	})
 	for _, err := range errs {
@@ -137,6 +137,34 @@ func (p Placement) MemoryRuntime(memImage string) ktime.Duration {
 		}
 	}
 	return total
+}
+
+// Check tests §IV-B's placement rule, measured: mixing classes per core
+// clearly beats stacking the memory jobs, which pay for the bad
+// placement, while the compute jobs do not care where they land.
+func (r *PlacementResult) Check() error {
+	var c claims
+	mixed, okMixed := r.Find("mixed-pairs")
+	stacked, okStacked := r.Find("serialize-memory")
+	if !okMixed || !okStacked {
+		c.failf("placements missing: mixed-pairs %v, serialize-memory %v", okMixed, okStacked)
+		return c.err("placement")
+	}
+	if float64(mixed.Makespan) > 0.8*float64(stacked.Makespan) {
+		c.failf("mixed pairing should clearly win: mixed=%v stacked=%v", mixed.Makespan, stacked.Makespan)
+	}
+	for _, p := range r.Placements {
+		for _, j := range p.Jobs {
+			if j.Image == "ruby" && j.Runtime > 2*ktime.Duration(1500*ktime.Millisecond) {
+				c.failf("%s: ruby runtime %v implausible", p.Name, j.Runtime)
+			}
+		}
+	}
+	if stacked.MemoryRuntime("mysql") < mixed.MemoryRuntime("mysql") {
+		c.failf("stacking should hurt the memory jobs most: mysql runtime %v stacked vs %v mixed",
+			stacked.MemoryRuntime("mysql"), mixed.MemoryRuntime("mysql"))
+	}
+	return c.err("placement")
 }
 
 // Render writes the comparison.

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,13 +36,38 @@ func goldenPath(a Artifact) string {
 
 // TestArtifactGoldens pins every registry entry's rendered artifact byte
 // for byte and requires runs at 2 and 8 workers to reproduce it: the
-// worker-count determinism contract every experiment makes. Rewrite the
-// goldens with `go test -run ArtifactGoldens -update`.
+// worker-count determinism contract every experiment makes. Each further
+// name an entry answers to (fig4, fig7, fig8) gets a subtest of its own:
+// rendered through that name, the artifact must match the entry's golden
+// and carry the figure the name asks for. Rewrite the goldens with
+// `go test -run ArtifactGoldens -update`.
 func TestArtifactGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("every registry artifact in -short mode")
 	}
 	for _, a := range Registry() {
+		for _, alias := range a.Names[1:] {
+			t.Run(alias, func(t *testing.T) {
+				t.Parallel()
+				b, ok := Lookup(alias)
+				if !ok {
+					t.Fatalf("Lookup(%q) found no entry", alias)
+				}
+				got := renderAt(t, b, 1)
+				caption := "Fig " + strings.TrimPrefix(alias, "fig") + " —"
+				if !bytes.Contains(got, []byte(caption)) {
+					t.Errorf("%s artifact has no %q section:\n%s", alias, caption, got)
+				}
+				if *updateGolden {
+					return
+				}
+				if want, err := os.ReadFile(goldenPath(b)); err != nil {
+					t.Fatalf("missing golden (regenerate with -update): %v", err)
+				} else if !bytes.Equal(got, want) {
+					t.Errorf("%s artifact drifted from %s.\n--- got ---\n%s--- want ---\n%s", alias, goldenPath(b), got, want)
+				}
+			})
+		}
 		t.Run(a.Names[0], func(t *testing.T) {
 			t.Parallel()
 			serial := renderAt(t, a, 1)
@@ -102,6 +130,36 @@ func TestRegistryNames(t *testing.T) {
 	}
 	if _, ok := Lookup("all"); ok {
 		t.Error(`"all" must not name an entry`)
+	}
+}
+
+// fakeResult renders a fixed artifact and returns claim from Check.
+type fakeResult struct{ claim error }
+
+func (fakeResult) Render(w io.Writer) { fmt.Fprintln(w, "artifact") }
+func (f fakeResult) Check() error     { return f.claim }
+
+// TestRenderReturnsCheck pins the registry contract on a fake entry:
+// Render writes the artifact and then returns its Check error, so a broken
+// claim still shows the numbers that broke it; a failed run writes
+// nothing.
+func TestRenderReturnsCheck(t *testing.T) {
+	broken := errors.New("claim broken")
+	for _, tc := range []struct {
+		name    string
+		run     func(Params) (Result, error)
+		wantOut string
+		wantErr error
+	}{
+		{"claims hold", func(Params) (Result, error) { return fakeResult{}, nil }, "artifact\n", nil},
+		{"claim broken", func(Params) (Result, error) { return fakeResult{broken}, nil }, "artifact\n", broken},
+		{"run fails", func(Params) (Result, error) { return nil, broken }, "", broken},
+	} {
+		var buf bytes.Buffer
+		err := Artifact{Names: []string{"fake"}, Run: tc.run}.Render(Params{Seed: 1}, &buf)
+		if err != tc.wantErr || buf.String() != tc.wantOut {
+			t.Errorf("%s: Render wrote %q and returned %v, want %q and %v", tc.name, buf.String(), err, tc.wantOut, tc.wantErr)
+		}
 	}
 }
 

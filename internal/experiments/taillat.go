@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"kleb/internal/kernel"
 	"kleb/internal/ktime"
@@ -256,25 +255,25 @@ func (s *TailLatScenario) row(tool string) (TailLatRow, bool) {
 // tail, and the paper's headline ordering — K-LEB's p99 inflation strictly
 // below perf stat's and PAPI's.
 func (r *TailLatResult) Check() error {
-	var bad []string
+	var c claims
 	for _, sc := range r.Scenarios {
 		for _, row := range sc.Rows {
 			if row.Unsupported != "" {
 				continue
 			}
 			if row.Arrivals != row.Completed+row.Rejected+row.InFlightAtEnd {
-				bad = append(bad, fmt.Sprintf("%s/%s: %d arrivals != %d completed + %d rejected + %d in flight",
-					sc.Name, row.Tool, row.Arrivals, row.Completed, row.Rejected, row.InFlightAtEnd))
+				c.failf("%s/%s: %d arrivals != %d completed + %d rejected + %d in flight",
+					sc.Name, row.Tool, row.Arrivals, row.Completed, row.Rejected, row.InFlightAtEnd)
 			}
 			if row.Rejected != 0 {
-				bad = append(bad, fmt.Sprintf("%s/%s: %d admission rejections (load is miscalibrated)", sc.Name, row.Tool, row.Rejected))
+				c.failf("%s/%s: %d admission rejections (load is miscalibrated)", sc.Name, row.Tool, row.Rejected)
 			}
 			if row.P50 > row.P99 || row.P99 > row.P999 || row.P999 > row.Max {
-				bad = append(bad, fmt.Sprintf("%s/%s: percentiles not monotone: p50=%v p99=%v p999=%v max=%v",
-					sc.Name, row.Tool, row.P50, row.P99, row.P999, row.Max))
+				c.failf("%s/%s: percentiles not monotone: p50=%v p99=%v p999=%v max=%v",
+					sc.Name, row.Tool, row.P50, row.P99, row.P999, row.Max)
 			}
 			if row.Tool != "bare" && row.DeltaP99 < 0 {
-				bad = append(bad, fmt.Sprintf("%s/%s: monitoring shortened the tail (Δp99 = %dns)", sc.Name, row.Tool, row.DeltaP99))
+				c.failf("%s/%s: monitoring shortened the tail (Δp99 = %dns)", sc.Name, row.Tool, row.DeltaP99)
 			}
 		}
 		kleb, haveK := sc.row(string(KLEB))
@@ -287,15 +286,12 @@ func (r *TailLatResult) Check() error {
 				continue
 			}
 			if kleb.DeltaP99 >= o.DeltaP99 {
-				bad = append(bad, fmt.Sprintf("%s: K-LEB Δp99 (%dns) not strictly below %s's (%dns)",
-					sc.Name, kleb.DeltaP99, other, o.DeltaP99))
+				c.failf("%s: K-LEB Δp99 (%dns) not strictly below %s's (%dns)",
+					sc.Name, kleb.DeltaP99, other, o.DeltaP99)
 			}
 		}
 	}
-	if len(bad) > 0 {
-		return fmt.Errorf("tail-latency study: %d violations:\n  %s", len(bad), strings.Join(bad, "\n  "))
-	}
-	return nil
+	return c.err("tail-latency study")
 }
 
 // Render writes the per-scenario tables plus a pass/fail summary line.

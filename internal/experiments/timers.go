@@ -40,7 +40,7 @@ type TimerResult struct {
 
 // RunTimers measures both facilities across a period sweep, fanning the
 // independent measurements over the scheduler's pool.
-func RunTimers(seed uint64, workers int) (*TimerResult, error) {
+func RunTimers(p Params) (*TimerResult, error) {
 	periods := []ktime.Duration{
 		100 * ktime.Microsecond,
 		ktime.Millisecond,
@@ -60,12 +60,12 @@ func RunTimers(seed uint64, workers int) (*TimerResult, error) {
 	}
 	rows := make([]TimerRow, len(jobs))
 	errs := make([]error, len(jobs))
-	session.Scheduler{Workers: workers}.ForEach(len(jobs), func(i int) {
+	session.Scheduler{Workers: p.Workers}.ForEach(len(jobs), func(i int) {
 		switch jobs[i].facility {
 		case "user-timer":
-			rows[i], errs[i] = measureUserTimer(seed, jobs[i].period)
+			rows[i], errs[i] = measureUserTimer(p.Seed, jobs[i].period)
 		default:
-			rows[i], errs[i] = measureHRTimer(seed, jobs[i].period)
+			rows[i], errs[i] = measureHRTimer(p.Seed, jobs[i].period)
 		}
 	})
 	for _, err := range errs {
@@ -155,6 +155,43 @@ func gapStats(fires []ktime.Time) (avg, std ktime.Duration) {
 	}
 	s := trace.Summarize(gaps)
 	return ktime.Duration(s.Mean), ktime.Duration(s.Stddev)
+}
+
+// Check tests §II-C's and §III's claims: user timers cannot beat the 10ms
+// jiffy but hold it, and the HRTimer sustains 100µs with microsecond-class
+// jitter — the paper's 100× claim.
+func (r *TimerResult) Check() error {
+	var c claims
+	find := func(facility string, period ktime.Duration) TimerRow {
+		for _, row := range r.Rows {
+			if row.Facility == facility && row.Requested == period {
+				return row
+			}
+		}
+		c.failf("row %s/%v missing", facility, period)
+		return TimerRow{}
+	}
+	// User timers cannot beat the 10ms jiffy (§II-C).
+	for _, period := range []ktime.Duration{100 * ktime.Microsecond, ktime.Millisecond} {
+		if row := find("user-timer", period); row.AchievedAvg < 9*ktime.Millisecond {
+			c.failf("user timer honored %v (achieved %v); the jiffy floor is gone", period, row.AchievedAvg)
+		}
+	}
+	// At 10ms the user timer is fine.
+	tenMs := find("user-timer", 10*ktime.Millisecond)
+	if tenMs.AchievedAvg < 9*ktime.Millisecond || tenMs.AchievedAvg > 11*ktime.Millisecond {
+		c.failf("user timer at its native rate: %v", tenMs.AchievedAvg)
+	}
+	// The HRTimer sustains 100µs.
+	hr := find("hrtimer", 100*ktime.Microsecond)
+	if hr.AchievedAvg < 90*ktime.Microsecond || hr.AchievedAvg > 120*ktime.Microsecond {
+		c.failf("hrtimer at 100µs achieved %v", hr.AchievedAvg)
+	}
+	// Jitter is microsecond-class, i.e. nonzero but well under the period.
+	if hr.JitterStd == 0 || hr.JitterStd > 20*ktime.Microsecond {
+		c.failf("hrtimer jitter %v", hr.JitterStd)
+	}
+	return c.err("timers")
 }
 
 // Render writes the timer study.

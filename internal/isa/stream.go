@@ -15,12 +15,3 @@ type Run struct {
 	Block Block
 	Count uint64
 }
-
-// Instr returns the total instruction count of the stream.
-func (s CompiledStream) Instr() uint64 {
-	var n uint64
-	for _, r := range s.Runs {
-		n += r.Block.Instr * r.Count
-	}
-	return n
-}

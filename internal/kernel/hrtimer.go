@@ -22,9 +22,6 @@ type HRTimer struct {
 	node    eventNode // unified event queue handle; node.at is the jittered expiry
 }
 
-// Period returns the timer's period (0 for one-shot).
-func (t *HRTimer) Period() ktime.Duration { return t.period }
-
 // Active reports whether the timer is armed.
 func (t *HRTimer) Active() bool { return t.active }
 

@@ -161,9 +161,6 @@ func (k *Kernel) Core() *cpu.Core { return k.core }
 // Costs returns the kernel's cost model.
 func (k *Kernel) Costs() CostModel { return k.costs }
 
-// Rand returns the kernel's noise source.
-func (k *Kernel) Rand() *ktime.Rand { return k.rng }
-
 // LiMiTPatched reports whether the LiMiT kernel patch is present.
 func (k *Kernel) LiMiTPatched() bool { return k.opts.LiMiTPatch }
 

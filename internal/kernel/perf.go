@@ -76,9 +76,6 @@ type PerfEvent struct {
 // Samples returns the accumulated sampling records.
 func (e *PerfEvent) Samples() []SampleRecord { return e.samples }
 
-// Spec returns the event's specification.
-func (e *PerfEvent) Spec() EventSpec { return e.spec }
-
 // SampledCount returns the count estimate sampling mode provides: the sum
 // of elapsed periods at each overflow. The residue since the last overflow
 // is invisible — the quantization error the paper's Fig 9 attributes to

@@ -48,10 +48,6 @@ const (
 // DefaultBufferSamples is the ring capacity when the config leaves it zero.
 const DefaultBufferSamples = 8192
 
-// MinRecommendedPeriod is the 100µs floor the paper recommends for the
-// HRTimer; faster periods work but drown in interrupt jitter (§VI).
-const MinRecommendedPeriod = 100 * ktime.Microsecond
-
 // ModuleConfig is the collection configuration passed via CmdConfig.
 type ModuleConfig struct {
 	// Events to collect; at most pmu.NumProgrammable non-fixed events.

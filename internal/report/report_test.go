@@ -42,8 +42,8 @@ func TestReportRendersAllSections(t *testing.T) {
 			t.Errorf("report missing %q", w)
 		}
 	}
-	if got := strings.Count(out, "\n## "); got != 17 {
-		t.Errorf("sections: %d, want 17", got)
+	if got := strings.Count(out, "\n## "); got != 16 {
+		t.Errorf("sections: %d, want 16", got)
 	}
 	if got := strings.Count(out, "Paper: "); got != 3 {
 		t.Errorf("paper lines: %d, want Tables I–III", got)

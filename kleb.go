@@ -37,10 +37,6 @@ import (
 	"kleb/internal/power"
 	"kleb/internal/session"
 	"kleb/internal/telemetry"
-	"kleb/internal/tools/limit"
-	"kleb/internal/tools/papi"
-	"kleb/internal/tools/perfrecord"
-	"kleb/internal/tools/perfstat"
 	"kleb/internal/trace"
 	"kleb/internal/workload"
 )
@@ -153,20 +149,16 @@ const (
 	ToolLiMiT      ToolKind = "limit"
 )
 
+// newTool builds a fresh instance of the tool k names ("" = K-LEB).
 func newTool(k ToolKind) (monitor.Tool, error) {
-	switch k {
-	case ToolKLEB, "":
-		return klebcore.New(), nil
-	case ToolPerfStat:
-		return perfstat.New(), nil
-	case ToolPerfRecord:
-		return perfrecord.New(), nil
-	case ToolPAPI:
-		return papi.New(), nil
-	case ToolLiMiT:
-		return limit.New(), nil
+	if k == "" {
+		k = ToolKLEB
 	}
-	return nil, fmt.Errorf("kleb: unknown tool %q", k)
+	t, err := experiments.NewTool(experiments.ToolKind(k), 0)
+	if err != nil {
+		return nil, fmt.Errorf("kleb: unknown tool %q", k)
+	}
+	return t, nil
 }
 
 // Workload is a monitored program. Obtain one from the constructors below.
@@ -463,7 +455,7 @@ type InterferenceCell struct {
 // The returned cells include a solo baseline (Neighbour == "") and both
 // directions of every pairing.
 func Interference(images []string, seed uint64) ([]InterferenceCell, error) {
-	res, err := experiments.RunColocate(experiments.ColocateConfig{Images: images, Seed: seed})
+	res, err := experiments.RunColocate(experiments.Params{Seed: seed}, images)
 	if err != nil {
 		return nil, err
 	}
@@ -619,7 +611,9 @@ func Compare(opts CollectOptions, tools ...ToolKind) ([]CompareRow, error) {
 		return nil, fmt.Errorf("kleb: CollectOptions.Workload is required")
 	}
 	if len(tools) == 0 {
-		tools = []ToolKind{ToolKLEB, ToolPerfStat, ToolPerfRecord, ToolPAPI, ToolLiMiT}
+		for _, kind := range experiments.AllTools() {
+			tools = append(tools, ToolKind(kind))
+		}
 	}
 	// Several runs would interleave on shared strace/trace/metrics writers;
 	// per-run debug taps only make sense on Collect.
