@@ -63,6 +63,28 @@ func BenchmarkCollectTelemetry(b *testing.B) {
 	}
 }
 
+// BenchmarkCollectServe is the monitored run that sets the tail of the
+// serve benchmark: K-LEB at 100µs over the request-serving model, with
+// telemetry off. Its cost is dominated by what K-LEB keeps per sample, the
+// drained batches and the controller's CSV log in the simulated FS, so a
+// return of re-copying growth on that path shows here.
+func BenchmarkCollectServe(b *testing.B) {
+	var samples int
+	for i := 0; i < b.N; i++ {
+		rep, err := kleb.Collect(kleb.CollectOptions{
+			Workload: kleb.Serve(1),
+			Events:   []kleb.Event{kleb.Instructions, kleb.LLCMisses},
+			Period:   100 * kleb.Microsecond,
+			Seed:     1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		samples = len(rep.Samples)
+	}
+	b.ReportMetric(float64(samples), "samples")
+}
+
 // byteCount is an io.Writer that counts the bytes written to it.
 type byteCount int
 

@@ -170,3 +170,33 @@ func TestContentionDetection(t *testing.T) {
 	wantClaim(t, res, "precedes the neighbour")
 	wantClaim(t, res, "no contention visible")
 }
+
+// The multiplex sweep's rows are its mixes of 2, 4, 6 and 8 events.
+func TestMultiplexCheck(t *testing.T) {
+	res := studyResult[*MultiplexResult](t, "multiplex")
+	for i := range res.Rows[2].Cells {
+		res.Rows[2].Cells[i].ErrPct = 0
+	}
+	wantClaim(t, res, "mix of 6: scaled estimates match exact counts exactly")
+	res.Rows = res.Rows[:2]
+	wantClaim(t, res, "no oversubscribed mix")
+}
+
+func TestTailLatCheck(t *testing.T) {
+	res := studyResult[*TailLatResult](t, "taillat")
+	open, closed := &res.Scenarios[0], &res.Scenarios[1]
+	for i := range open.Rows {
+		if open.Rows[i].Tool == string(KLEB) {
+			open.Rows[i].DeltaP99 = 0
+		}
+	}
+	for i := range closed.Rows {
+		if closed.Rows[i].Tool == "bare" {
+			closed.Rows[i].Completed = 0
+		}
+	}
+	wantClaim(t, res, "open-loop: K-LEB Δp99 = 0ns, want positive")
+	wantClaim(t, res, "closed-loop: missing or empty bare baseline")
+	res.Scenarios = res.Scenarios[:1]
+	wantClaim(t, res, "1 scenarios, want open- and closed-loop")
+}

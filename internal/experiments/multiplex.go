@@ -176,12 +176,15 @@ func RunMultiplex(p Params) (*MultiplexResult, error) {
 }
 
 // Check asserts the sweep's physics: mixes within the counter budget count
-// exactly (single round, no scaling), and every oversubscribed mix both
-// rotates and shows real extrapolation error against the exact counts.
+// exactly (single round, no scaling), the sweep has an oversubscribed mix,
+// and every oversubscribed mix both rotates and shows real extrapolation
+// error against the exact counts.
 func (r *MultiplexResult) Check() error {
 	var c claims
+	sawOver := false
 	for _, row := range r.Rows {
 		over := row.N > 4
+		sawOver = sawOver || over
 		if !over {
 			if row.Rounds != 1 {
 				c.failf("mix of %d: %d rounds, want 1", row.N, row.Rounds)
@@ -214,6 +217,9 @@ func (r *MultiplexResult) Check() error {
 		if row.MaxAbsErrPct() == 0 {
 			c.failf("mix of %d: scaled estimates match exact counts exactly (implausible)", row.N)
 		}
+	}
+	if !sawOver {
+		c.failf("no oversubscribed mix: every mix fits the 4 counters")
 	}
 	return c.err("multiplex sweep")
 }

@@ -250,13 +250,21 @@ func (s *TailLatScenario) row(tool string) (TailLatRow, bool) {
 	return TailLatRow{}, false
 }
 
-// Check asserts the study's invariants: request conservation with no
+// Check asserts the study's invariants: both scenarios present, each with
+// a bare baseline that completed requests, request conservation with no
 // admission rejections, monotone percentiles, no tool *shortening* the
-// tail, and the paper's headline ordering — K-LEB's p99 inflation strictly
-// below perf stat's and PAPI's.
+// tail, K-LEB's p99 inflation positive (monitoring is never free), and the
+// paper's headline ordering — K-LEB's p99 inflation strictly below perf
+// stat's and PAPI's.
 func (r *TailLatResult) Check() error {
 	var c claims
+	if len(r.Scenarios) != 2 {
+		c.failf("%d scenarios, want open- and closed-loop", len(r.Scenarios))
+	}
 	for _, sc := range r.Scenarios {
+		if bare, ok := sc.row("bare"); !ok || bare.Completed == 0 {
+			c.failf("%s: missing or empty bare baseline", sc.Name)
+		}
 		for _, row := range sc.Rows {
 			if row.Unsupported != "" {
 				continue
@@ -277,8 +285,15 @@ func (r *TailLatResult) Check() error {
 			}
 		}
 		kleb, haveK := sc.row(string(KLEB))
-		if !haveK || kleb.Unsupported != "" {
+		if !haveK {
+			c.failf("%s: no kleb row", sc.Name)
 			continue
+		}
+		if kleb.Unsupported != "" {
+			continue
+		}
+		if kleb.DeltaP99 <= 0 {
+			c.failf("%s: K-LEB Δp99 = %dns, want positive (monitoring is never free)", sc.Name, kleb.DeltaP99)
 		}
 		for _, other := range []ToolKind{PerfStat, PAPI} {
 			o, ok := sc.row(string(other))

@@ -77,22 +77,21 @@ type Controller struct {
 	// back out of the simulated FS.
 	LogWriter io.Writer
 
-	// Samples accumulates everything drained, in capture order.
-	Samples []monitor.Sample
 	// Err records the fatal error that aborted the run (permanent ioctl
 	// failure, retry exhaustion, poll deadline); nil for a clean run.
 	Err error
 	// Retries counts transient-failure retries across all ops.
 	Retries uint64
 	// WriteFailures counts log writes that failed (FS or LogWriter); the
-	// samples stay in Samples, only the log copy is incomplete.
+	// samples stay in Samples(), only the log copy is incomplete.
 	WriteFailures uint64
 	// WriteErr is the first write failure (nil if none).
 	WriteErr error
 
 	state       int
-	pending     []monitor.Sample // drained but not yet logged
-	logBuf      []byte           // writeOp's CSV rows, reused across writes
+	batches     [][]monitor.Sample // every KLEB_READ batch, in drain order
+	pending     []monitor.Sample   // drained but not yet logged
+	logBuf      []byte             // writeOp's CSV rows, reused across writes
 	wroteHeader bool
 	done        bool
 	finishing   bool // module reported Done; draining the tail
@@ -127,6 +126,31 @@ var _ kernel.Program = (*Controller)(nil)
 // NewController builds a controller for cfg.
 func NewController(cfg ModuleConfig) *Controller {
 	return &Controller{Cfg: cfg, DrainInterval: DefaultDrainInterval}
+}
+
+// Samples returns everything drained, in capture order. Each KLEB_READ
+// batch is kept as the module handed it over (popN gives every batch its
+// own storage), so a drain copies no sample; the first call after a drain
+// joins the batches into one exact-size slice, which later calls return.
+func (c *Controller) Samples() []monitor.Sample {
+	switch len(c.batches) {
+	case 0:
+		return nil
+	case 1:
+		return c.batches[0]
+	}
+	n := 0
+	for _, b := range c.batches {
+		n += len(b)
+	}
+	all := make([]monitor.Sample, 0, n)
+	for _, b := range c.batches {
+		all = append(all, b...)
+	}
+	// Drop the batches from the backing array too, or it keeps them alive.
+	clear(c.batches[1:])
+	c.batches = append(c.batches[:0], all)
+	return all
 }
 
 // Degraded reports whether the run finished with partial data (abort or
@@ -177,7 +201,7 @@ func (c *Controller) retryOrAbort(k *kernel.Kernel, op string, err error, resume
 }
 
 // noteWriteFailure records a failed log write without aborting: sample data
-// is already safe in Samples, only the log copy is degraded.
+// is already safe in Samples(), only the log copy is degraded.
 func (c *Controller) noteWriteFailure(k *kernel.Kernel, err error) {
 	c.WriteFailures++
 	if c.WriteErr == nil {
@@ -222,7 +246,7 @@ func (c *Controller) Next(k *kernel.Kernel, p *kernel.Process) kernel.Op {
 		c.attempts = 0
 		if got, ok := p.SyscallResult.([]monitor.Sample); ok && len(got) > 0 {
 			c.pending = got
-			c.Samples = append(c.Samples, got...)
+			c.batches = append(c.batches, got)
 			c.lastSeenAt = k.Now()
 			c.futile = 0
 			c.state = ctlWrite
@@ -322,7 +346,7 @@ func (c *Controller) logOp(k *kernel.Kernel, n int) kernel.Op {
 // pending samples are rendered as CSV rows and appended to the log file in
 // the kernel's filesystem, paying the journal/flush cost plus the VFS
 // per-byte copy price. Write failures are recorded, never fatal: the
-// drained samples are already safe in c.Samples.
+// drained samples are already safe in c.batches.
 //
 //klebvet:artifact
 func (c *Controller) writeOp(n int) kernel.Op {
@@ -350,6 +374,7 @@ func (c *Controller) writeOp(n int) kernel.Op {
 			}
 			buf = append(buf, '\n')
 		}
+		c.pending = nil // rendered; the batch lives on in c.batches only
 		c.logBuf = buf
 		if err := k.FS().Append(c.logPath(), buf); err != nil {
 			c.noteWriteFailure(k, err)

@@ -2,6 +2,7 @@ package kleb
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -484,6 +485,73 @@ func TestControllerLogOnFilesystem(t *testing.T) {
 		if want := microsRef(res.Result.Samples[i].Time); got != want {
 			t.Fatalf("row %d time field %q, want %q", i+1, got, want)
 		}
+	}
+}
+
+// TestControllerKeepsDrainBatches: the controller keeps every KLEB_READ
+// batch as the module handed it over. Samples() joins them in drain order
+// into one exact-size slice, once, after which the controller references
+// no batch but the joined one, and Tool.Collect's totals are the sums over
+// the batches.
+func TestControllerKeepsDrainBatches(t *testing.T) {
+	m := machine.Boot(quietProfile(), 73)
+	script := targetScript(200_000_000)
+	prog := script.Program()
+	target := m.Kernel().SpawnStopped(script.Name, prog)
+	tool := &Tool{DrainInterval: 10 * ktime.Millisecond}
+	cfg := stdConfig(100 * ktime.Microsecond)
+	if err := tool.Attach(m, target, prog, cfg); err != nil {
+		t.Fatal(err)
+	}
+	m.Kernel().Resume(target)
+	if err := m.Kernel().Run(0); err != nil {
+		t.Fatal(err)
+	}
+	batches := append([][]monitor.Sample(nil), tool.ctl.batches...)
+	if len(batches) < 3 {
+		t.Fatalf("%d drain batches; the test needs several", len(batches))
+	}
+	var want []monitor.Sample
+	sums := make([]uint64, len(cfg.Events))
+	for _, b := range batches {
+		want = append(want, b...)
+		for _, s := range b {
+			for i := range sums {
+				sums[i] += s.Deltas[i]
+			}
+		}
+	}
+	got := tool.ctl.Samples()
+	if len(got) != len(want) || cap(got) != len(got) {
+		t.Fatalf("Samples() has len %d cap %d, want len = cap = %d", len(got), cap(got), len(want))
+	}
+	for i := range got {
+		if got[i].Time != want[i].Time || !slices.Equal(got[i].Deltas, want[i].Deltas) {
+			t.Fatalf("sample %d = %v, batch order gives %v", i, got[i], want[i])
+		}
+		if i > 0 && got[i].Time <= got[i-1].Time {
+			t.Fatalf("sample %d at %v does not follow %v: batches out of drain order", i, got[i].Time, got[i-1].Time)
+		}
+	}
+	if again := tool.ctl.Samples(); &again[0] != &got[0] {
+		t.Error("a second Samples() call joined the batches again")
+	}
+	for i, b := range tool.ctl.batches[1:cap(tool.ctl.batches)] {
+		if b != nil {
+			t.Fatalf("joined batch %d is still referenced by the controller", i+1)
+		}
+	}
+	if tool.ctl.pending != nil {
+		t.Error("the last batch is still referenced as pending after it was logged")
+	}
+	res := tool.Collect()
+	for i, ev := range cfg.Events {
+		if res.Totals[ev] != sums[i] {
+			t.Errorf("%v total %d, per-batch sums give %d", ev, res.Totals[ev], sums[i])
+		}
+	}
+	if got := res.Totals[isa.EvInstructions]; got != script.TotalInstr() {
+		t.Errorf("instructions %d, want %d", got, script.TotalInstr())
 	}
 }
 

@@ -51,7 +51,7 @@ func TestAttachToAlreadyRunningProcess(t *testing.T) {
 	}
 
 	var got uint64
-	for _, s := range ctl.Samples {
+	for _, s := range ctl.Samples() {
 		got += s.Deltas[0]
 	}
 	total := script.TotalInstr()
@@ -64,7 +64,7 @@ func TestAttachToAlreadyRunningProcess(t *testing.T) {
 		t.Errorf("late attach saw only %d of %d instructions", got, total)
 	}
 	// Samples begin after the attach instant.
-	if len(ctl.Samples) == 0 || ctl.Samples[0].Time < ktime.Time(30*ktime.Millisecond) {
+	if samples := ctl.Samples(); len(samples) == 0 || samples[0].Time < ktime.Time(30*ktime.Millisecond) {
 		t.Error("samples predate the attach")
 	}
 }

@@ -19,7 +19,10 @@ import (
 // at most ⌈log2(capacity/ringFirstSlots)⌉ doublings per configure. Outside
 // growth the interrupt handler allocates nothing: push copies into the
 // slot's slab segment, and only popN — the controller's cold syscall path —
-// allocates, because drained samples outlive the slot they came from.
+// allocates, because drained samples outlive the slot they came from. The
+// controller keeps each batch as popN returns it, so a drained sample is
+// copied once more only when Tool.Collect joins the batches
+// (Controller.Samples).
 type ring struct {
 	buf   []monitor.Sample // allocated slots, len(buf) <= capacity
 	width int              // deltas per slot

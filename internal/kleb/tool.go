@@ -116,10 +116,11 @@ func (t *Tool) Accounting() Accounting {
 // Collect implements monitor.Tool: sample series plus exact totals (sums of
 // per-period deltas including the final partial flush).
 func (t *Tool) Collect() monitor.Result {
+	samples := t.ctl.Samples()
 	res := monitor.Result{
 		Tool:    t.Name(),
 		Events:  t.cfg.Events,
-		Samples: t.ctl.Samples,
+		Samples: samples,
 		Totals:  make(map[isa.Event]uint64, len(t.cfg.Events)),
 	}
 	if t.module != nil {
@@ -133,7 +134,7 @@ func (t *Tool) Collect() monitor.Result {
 	}
 	for i, ev := range t.cfg.Events {
 		var sum uint64
-		for _, s := range t.ctl.Samples {
+		for _, s := range samples {
 			if i < len(s.Deltas) {
 				sum += s.Deltas[i]
 			}

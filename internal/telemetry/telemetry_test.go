@@ -261,10 +261,11 @@ func TestChromeTraceIsValidAndComplete(t *testing.T) {
 }
 
 func TestTimestampRendering(t *testing.T) {
-	cases := map[uint64]string{0: "0.000", 999: "0.999", 1000: "1.000", 1234567: "1234.567"}
+	cases := map[uint64]string{0: "0.000", 999: "0.999", 1000: "1.000", 1234567: "1234.567",
+		1<<64 - 1: "18446744073709551.615"}
 	for ns, want := range cases {
-		if got := ts(ns); got != want {
-			t.Errorf("ts(%d) = %q, want %q", ns, got, want)
+		if got := string(appendTS(nil, ns)); got != want {
+			t.Errorf("appendTS(%d) = %q, want %q", ns, got, want)
 		}
 	}
 }

@@ -53,3 +53,33 @@ func TestScriptProgramStepNoAlloc(t *testing.T) {
 		t.Fatal("the scripts finished inside the window; the window measured nothing")
 	}
 }
+
+// TestServeAdmitAllocatesThree pins what admitting a serve request
+// allocates: the request and one backing slice each for its clone demands
+// and its replica permutations, however many tiers the model has.
+func TestServeAdmitAllocatesThree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	const n = 100
+	s := newServeSim(NewServe(), 1)
+	if len(s.tiers) < 2 {
+		t.Fatalf("the default serve model has %d tiers; the test needs several", len(s.tiers))
+	}
+	// Reserve every replica's queue so dispatch's appends never grow it.
+	for i := range s.tiers {
+		for r := range s.tiers[i].replicas {
+			s.tiers[i].replicas[r].jobs = make([]psJob, 0, 4*n)
+		}
+	}
+	// AllocsPerRun truncates its per-run mean to an integer, so the n
+	// admissions are one run.
+	admit := func() {
+		for i := 0; i < n; i++ {
+			s.admit(ktime.Time(i))
+		}
+	}
+	if got := testing.AllocsPerRun(1, admit); got != 3*n {
+		t.Errorf("%d admissions allocate %v times, want %d", n, got, 3*n)
+	}
+}

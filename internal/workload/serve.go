@@ -292,6 +292,9 @@ type psReplica struct {
 type simTier struct {
 	spec     Tier
 	replicas []psReplica
+	// dem and pl are where the tier's clone demands and its replica
+	// permutation start in a request's demands and placements.
+	dem, pl int
 }
 
 // request is one in-flight request. All of its randomness — per-tier,
@@ -299,11 +302,14 @@ type simTier struct {
 // stream reseeded with the request's index, so it is identical across runs
 // of equal seed regardless of what the capacity does.
 type request struct {
-	id         uint64
-	arrival    ktime.Time
-	tier       int
-	demands    [][]float64
-	placements [][]int
+	id      uint64
+	arrival ktime.Time
+	tier    int
+	// demands holds every tier's per-clone demands, and placements every
+	// tier's replica permutation, each tier at its simTier offset; a tier's
+	// clones run on the first clones() replicas of its permutation.
+	demands    []float64
+	placements []int
 }
 
 // serveSim is the queueing simulation, advanced in capacity windows.
@@ -323,6 +329,8 @@ type serveSim struct {
 	thinking uint64 // closed loop: users currently thinking
 
 	tiers    []simTier
+	demN     int // length of a request's demands: clones over all tiers
+	plN      int // length of a request's placements: replicas over all tiers
 	inflight int
 	nextID   uint64
 
@@ -338,7 +346,9 @@ func newServeSim(model Serve, seed uint64) *serveSim {
 	}
 	s.tiers = make([]simTier, len(model.Tiers))
 	for i, t := range model.Tiers {
-		s.tiers[i] = simTier{spec: t, replicas: make([]psReplica, t.Replicas)}
+		s.tiers[i] = simTier{spec: t, replicas: make([]psReplica, t.Replicas), dem: s.demN, pl: s.plN}
+		s.demN += t.clones()
+		s.plN += t.Replicas
 	}
 	return s
 }
@@ -517,24 +527,27 @@ func (s *serveSim) arrive(now ktime.Time) {
 	s.scheduleArrival(now)
 }
 
-// admit creates the request, draws all of its randomness, and dispatches
-// it to the first tier.
+// admit creates the request, draws all of its randomness into its two
+// backing slices, and dispatches it to the first tier.
 func (s *serveSim) admit(now ktime.Time) {
-	req := &request{id: s.nextID, arrival: now}
+	req := &request{
+		id:         s.nextID,
+		arrival:    now,
+		demands:    make([]float64, s.demN),
+		placements: make([]int, s.plN),
+	}
 	s.nextID++
 	s.reqRng.Reseed(s.seed + (req.id+1)*0x6c62272e07bb0142)
-	req.demands = make([][]float64, len(s.tiers))
-	req.placements = make([][]int, len(s.tiers))
 	for i := range s.tiers {
-		t := s.tiers[i].spec
+		st := &s.tiers[i]
+		t := st.spec
 		d := t.clones()
-		dem := make([]float64, d)
+		dem := req.demands[st.dem : st.dem+d]
 		for c := range dem {
 			dem[c] = expSample(s.reqRng) * float64(t.DemandInstr)
 		}
-		req.demands[i] = dem
 		// d distinct replicas via partial Fisher–Yates.
-		perm := make([]int, t.Replicas)
+		perm := req.placements[st.pl : st.pl+t.Replicas]
 		for p := range perm {
 			perm[p] = p
 		}
@@ -542,7 +555,6 @@ func (s *serveSim) admit(now ktime.Time) {
 			q := p + s.reqRng.Intn(t.Replicas-p)
 			perm[p], perm[q] = perm[q], perm[p]
 		}
-		req.placements[i] = perm[:d]
 	}
 	s.inflight++
 	if uint64(s.inflight) > s.stats.PeakInFlight {
@@ -553,10 +565,11 @@ func (s *serveSim) admit(now ktime.Time) {
 
 // dispatch places the request's clones at its current tier.
 func (s *serveSim) dispatch(req *request) {
-	ti := req.tier
-	for c, r := range req.placements[ti] {
-		rep := &s.tiers[ti].replicas[r]
-		rep.jobs = append(rep.jobs, psJob{req: req, remaining: req.demands[ti][c]})
+	st := &s.tiers[req.tier]
+	d := st.spec.clones()
+	for c, r := range req.placements[st.pl : st.pl+d] {
+		rep := &st.replicas[r]
+		rep.jobs = append(rep.jobs, psJob{req: req, remaining: req.demands[st.dem+c]})
 	}
 }
 

@@ -20,8 +20,12 @@
 #                    BOUND_PCT (E2E_BOUND_PCT for the root package's
 #                    end-to-end benchmarks) and HEAD's fastest run exceeds
 #                    BASE's fastest by as much, or when the telemetry emit
-#                    paths exceed their absolute bounds in both figures. A
-#                    benchmark BASE lacks is printed as new and not gated.
+#                    paths exceed their absolute bounds in both figures.
+#                    The root package's benchmarks are gated on bytes
+#                    allocated per op (B/op) as well as time, because a
+#                    monitored run that re-copies what it keeps grows its
+#                    allocation far more than its time. A benchmark BASE
+#                    lacks is printed as new and not gated.
 #   bench_kernel.sh update   runs the working tree's benchmarks PAIRS times
 #                            and writes their medians to BENCH_kernel.json.
 #
@@ -53,7 +57,7 @@ BENCHES=(
     "./internal/cpu $BENCHTIME ."
     "./internal/cache $BENCHTIME ."
     "./internal/telemetry $BENCHTIME ."
-    ". $BENCHTIME CollectTelemetry"
+    ". $BENCHTIME CollectTelemetry|CollectServe"
     ". 1x Artifacts/table2\$"
 )
 
@@ -160,15 +164,23 @@ done
 
 awk -v bound="$BOUND_PCT" -v e2e="$E2E_BOUND_PCT" \
     -v nilmax="$NIL_EMIT_MAX_NS" -v livemax="$LIVE_EMIT_MAX_NS" "$STATS"'
+    function bytes(b) {
+        if (b >= 1e6) return sprintf("%.3gMB", b / 1e6)
+        if (b >= 1e3) return sprintf("%.3gkB", b / 1e3)
+        return sprintf("%.3gB", b)
+    }
     function human(ns) {
         if (ns >= 1e9) return sprintf("%.3gs", ns / 1e9)
         if (ns >= 1e6) return sprintf("%.3gms", ns / 1e6)
         if (ns >= 1e3) return sprintf("%.3gus", ns / 1e3)
         return sprintf("%.3gns", ns)
     }
+    function fmtv(key, v) {
+        return key ~ /B\/op$/ ? bytes(v) : human(v)
+    }
     function spread(side, key) {
-        return sprintf("%s [%s, %s]", human(quantile(side, key, 0.5)),
-            human(quantile(side, key, 0.25)), human(quantile(side, key, 0.75)))
+        return sprintf("%s [%s, %s]", fmtv(key, quantile(side, key, 0.5)),
+            fmtv(key, quantile(side, key, 0.25)), fmtv(key, quantile(side, key, 0.75)))
     }
     function absolute(name, limit,    key) {
         key = name SUBSEP "ns/op"
@@ -181,13 +193,14 @@ awk -v bound="$BOUND_PCT" -v e2e="$E2E_BOUND_PCT" \
             failed++
         }
     }
-    $4 == "ns/op" { collect() }
+    $4 == "ns/op" || ($2 == "." && $4 == "B/op") { collect() }
     END {
-        row = "%-30s %-28s %-28s %6s %6s %5s  %s\n"
-        printf row, "benchmark (ns/op)", "BASE median [Q1, Q3]", "HEAD median [Q1, Q3]", "median", "min", "wins", "verdict"
+        row = "%-37s %-28s %-28s %6s %6s %5s  %s\n"
+        printf row, "benchmark (ns/op unless marked)", "BASE median [Q1, Q3]", "HEAD median [Q1, Q3]", "median", "min", "wins", "verdict"
         for (k = 1; k <= keys; k++) {
             key = order[k]
             split(key, nu, SUBSEP)
+            if (nu[2] != "ns/op") nu[1] = nu[1] " " nu[2]
             if (!count["base", key]) {
                 printf row, nu[1], "-", spread("head", key), "-", "-", "-", "new, not gated"
                 continue
@@ -212,8 +225,8 @@ awk -v bound="$BOUND_PCT" -v e2e="$E2E_BOUND_PCT" \
             printf row, nu[1], spread("base", key), spread("head", key),
                 sprintf("%.3f", med), sprintf("%.3f", low), hw ":" bw, verdict
         }
-        print "(median, min: HEAD/BASE ratios of the medians and of the fastest runs;"
-        print " wins: pairs in which HEAD ran faster : pairs in which BASE did)"
+        print "(median, min: HEAD/BASE ratios of the medians and of the fastest (smallest) runs;"
+        print " wins: pairs in which HEAD ran faster or allocated less : pairs in which BASE did)"
         absolute("BenchmarkEmitDisabled", nilmax)
         absolute("BenchmarkEmitEnabled", livemax)
         exit (failed > 0)

@@ -71,7 +71,7 @@ echo "==> generated event tables up to date"
 echo "==> bench smoke (1 iteration)"
 go test ./internal/kernel ./internal/pmu ./internal/cpu ./internal/cache ./internal/telemetry \
     -run '^$' -bench . -benchtime 1x >/dev/null
-go test . -run '^$' -bench 'Artifacts/table2$|CollectTelemetry' -benchtime 1x >/dev/null
+go test . -run '^$' -bench 'Artifacts/table2$|CollectTelemetry|CollectServe' -benchtime 1x >/dev/null
 
 echo "==> chaos smoke (1 fault plan)"
 go run ./cmd/experiments -trials 1 chaos >/dev/null
