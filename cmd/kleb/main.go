@@ -42,7 +42,6 @@ func main() {
 		psFlag       = flag.Bool("ps", false, "dump the simulated kernel's final state to stderr")
 		traceFlag    = flag.String("trace", "", "write the run's Chrome trace-event JSON here (open in Perfetto)")
 		metricsFlag  = flag.String("metrics", "", "write the run's metrics in Prometheus text format here")
-		ctlLogFlag   = flag.String("ctl-log", "", "controller CSV log path inside the simulated FS (default /var/log/kleb.csv)")
 		cpuProfile   = flag.String("cpuprofile", "", "write a host CPU profile (pprof) to this file")
 		memProfile   = flag.String("memprofile", "", "write a host heap profile (pprof) to this file on exit")
 	)
@@ -106,7 +105,6 @@ func main() {
 	if *psFlag {
 		opts.DumpState = os.Stderr
 	}
-	opts.ControllerLog = *ctlLogFlag
 	var traceFile, metricsFile *os.File
 	if *traceFlag != "" {
 		f, err := os.Create(*traceFlag)

@@ -45,8 +45,6 @@ type Config struct {
 	// block are actually simulated; results are scaled to the block's real
 	// totals. It trades simulation speed against cache-model fidelity.
 	MaxSimAccesses uint64
-	// TLB sizes the data TLB (zero values select the defaults).
-	TLB TLBConfig
 	// NoMemo disables the block-cost memo layer (DESIGN.md §13), forcing
 	// every Execute through the raw cache/branch simulation. Model unit
 	// tests use it to probe the underlying simulators directly.
@@ -157,12 +155,11 @@ func NewShared(cfg Config, p *pmu.PMU, rng *ktime.Rand, sharedLLC *cache.Cache) 
 	if cfg.PredictorBits == 0 {
 		cfg.PredictorBits = 12
 	}
-	cfg.TLB.defaults()
 	return &Core{
 		cfg:      cfg,
 		caches:   cache.NewHierarchyShared(cfg.Hierarchy, sharedLLC),
 		pred:     branch.New(cfg.PredictorBits),
-		tlb:      newTLB(cfg.TLB),
+		tlb:      newTLB(),
 		pmu:      p,
 		rng:      rng,
 		cursors:  make(map[uint64]uint64),
@@ -414,13 +411,13 @@ func (c *Core) simulateMemory(b isa.Block, counts *isa.Counts) (uint64, uint64) 
 		if !r.L1Hit && !r.L2Hit && !r.LLCHit && prefetchable && !random {
 			r.Cycles -= c.cfg.Hierarchy.MemLatencyCycles - c.cfg.PrefetchMemCycles
 		}
-		if !c.tlb.access(addr >> uint64(c.cfg.TLB.PageBits)) {
+		if !c.tlb.access(addr >> tlbPageBits) {
 			if random {
 				h[b].tlbm++
-				r.Cycles += c.cfg.TLB.WalkCycles
+				r.Cycles += tlbWalkPenalty
 			} else {
 				tlbWalkMiss++
-				tlbWalkCycles += c.cfg.TLB.WalkCycles
+				tlbWalkCycles += tlbWalkPenalty
 			}
 		}
 		h[b].n++

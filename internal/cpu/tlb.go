@@ -6,72 +6,40 @@ package cpu
 // patterns (huge random footprints) are visible to the monitoring tools
 // exactly like their cache behaviour is.
 type TLB struct {
-	entriesPerSet int
-	sets          uint64
-	setMask       uint64
-	tags          []uint64
-	ages          []uint64
-	stamp         uint64
+	tags  []uint64
+	ages  []uint64
+	stamp uint64
 
 	misses uint64
 }
 
-// TLBConfig sizes the structure.
-type TLBConfig struct {
-	// Entries is the total capacity (power-of-two sets result).
-	Entries int
-	// Ways is the associativity.
-	Ways int
-	// PageBits is log2 of the page size (default 12 → 4KB).
-	PageBits uint
-	// WalkCycles is the page-walk penalty per miss.
-	WalkCycles uint64
-}
+// The TLB's geometry and miss cost.
+const (
+	tlbEntries = 64
+	tlbWays    = 4
+	tlbSets    = tlbEntries / tlbWays // a power of two
+	// tlbPageBits is log2 of the page size: 4KB pages.
+	tlbPageBits = 12
+	// tlbWalkPenalty is the page-walk penalty per miss, in cycles.
+	tlbWalkPenalty = 30
+)
 
-func (c *TLBConfig) defaults() {
-	if c.Entries == 0 {
-		c.Entries = 64
-	}
-	if c.Ways == 0 {
-		c.Ways = 4
-	}
-	if c.PageBits == 0 {
-		c.PageBits = 12
-	}
-	if c.WalkCycles == 0 {
-		c.WalkCycles = 30
-	}
-}
-
-// pageBits is kept on the core config; the TLB stores only geometry.
-func newTLB(cfg TLBConfig) *TLB {
-	cfg.defaults()
-	sets := uint64(cfg.Entries / cfg.Ways)
-	// Clamp to a power of two set count.
-	for sets&(sets-1) != 0 {
-		sets--
-	}
-	if sets == 0 {
-		sets = 1
-	}
+func newTLB() *TLB {
 	return &TLB{
-		entriesPerSet: cfg.Ways,
-		sets:          sets,
-		setMask:       sets - 1,
-		tags:          make([]uint64, sets*uint64(cfg.Ways)),
-		ages:          make([]uint64, sets*uint64(cfg.Ways)),
+		tags: make([]uint64, tlbEntries),
+		ages: make([]uint64, tlbEntries),
 	}
 }
 
 // access looks up the page containing addr; returns true on hit.
 func (t *TLB) access(page uint64) bool {
-	set := page & t.setMask
+	set := page & (tlbSets - 1)
 	tag := page | 1<<63
-	base := set * uint64(t.entriesPerSet)
+	base := set * tlbWays
 	t.stamp++
 	victim := base
 	oldest := ^uint64(0)
-	for i := base; i < base+uint64(t.entriesPerSet); i++ {
+	for i := base; i < base+tlbWays; i++ {
 		if t.tags[i] == tag {
 			t.ages[i] = t.stamp
 			return true

@@ -59,7 +59,7 @@ func RunContention(p Params) (*ContentionResult, error) {
 		Drive: func(c *machine.Cluster) error {
 			// Run the socket until the victim is half done, then unleash
 			// the streaming neighbour on core 1.
-			if err := c.Run(0, ktime.Duration(start)); err != nil {
+			if err := c.Run(ktime.Duration(start)); err != nil {
 				return err
 			}
 			stream := workload.Synthetic{
@@ -70,7 +70,7 @@ func RunContention(p Params) (*ContentionResult, error) {
 				Footprint:  64 << 20,
 			}.Script()
 			c.Cores()[1].Kernel().Spawn("stream", stream.Program())
-			return c.Run(0, 0)
+			return c.Run(0)
 		},
 	})
 	if err != nil {

@@ -87,7 +87,7 @@ func (f *Fleet) runClusterNode(node int, seed uint64) nodeResult {
 		m.Kernel().Spawn(fmt.Sprintf("n%d-c%d", node, core), s.Program())
 	}
 	out := nodeResult{node: node, sink: telemetry.MetricsOnly()}
-	if err := c.Run(0, f.cfg.Limit); err != nil {
+	if err := c.Run(f.cfg.Limit); err != nil {
 		out.degraded, out.fault = true, err.Error()
 	}
 	var elapsed ktime.Duration

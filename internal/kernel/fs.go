@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"bytes"
-	"fmt"
 	"sort"
 
 	"kleb/internal/fault"
@@ -60,30 +59,14 @@ func (f *FS) Append(name string, data []byte) error {
 	return nil
 }
 
-// ReadFile returns a file's contents (nil if absent). Free: post-run
-// inspection. The first read after a write joins the file's segments into
-// one, which later reads return until the next write.
+// ReadFile returns a copy of a file's contents, its segments joined, and
+// whether the file exists. Free: post-run inspection.
 func (f *FS) ReadFile(name string) ([]byte, bool) {
 	segs, ok := f.files[name]
-	switch {
-	case !ok:
+	if !ok {
 		return nil, false
-	case len(segs) == 0:
-		return nil, true
-	case len(segs) > 1:
-		segs = [][]byte{bytes.Join(segs, nil)}
-		f.files[name] = segs
 	}
-	return segs[0], true
-}
-
-// Size returns a file's length in bytes.
-func (f *FS) Size(name string) int {
-	n := 0
-	for _, seg := range f.files[name] {
-		n += len(seg)
-	}
-	return n
+	return bytes.Join(segs, nil), true
 }
 
 // Names lists all files, sorted.
@@ -94,13 +77,4 @@ func (f *FS) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Remove deletes a file.
-func (f *FS) Remove(name string) error {
-	if _, ok := f.files[name]; !ok {
-		return fmt.Errorf("fs: no such file %q", name)
-	}
-	delete(f.files, name)
-	return nil
 }

@@ -2,14 +2,13 @@ package kleb
 
 import (
 	"fmt"
-	"io"
-	"strconv"
 
 	"kleb/internal/fault"
 	"kleb/internal/isa"
 	"kleb/internal/kernel"
 	"kleb/internal/ktime"
 	"kleb/internal/monitor"
+	"kleb/internal/trace"
 	"kleb/internal/workload"
 )
 
@@ -22,8 +21,8 @@ const DefaultDrainInterval = 50 * ktime.Millisecond
 // ReadMax bounds one drain; large enough to empty the default ring.
 const ReadMax = DefaultBufferSamples
 
-// DefaultLogPath is where the controller writes its CSV sample log unless
-// Controller.LogPath overrides it.
+// DefaultLogPath is where the controller writes its CSV sample log in the
+// kernel's filesystem.
 const DefaultLogPath = "/var/log/kleb.csv"
 
 // MaxRetries bounds consecutive retries of one transiently-failing ioctl
@@ -69,21 +68,13 @@ type Controller struct {
 	Cfg           ModuleConfig
 	DrainInterval ktime.Duration
 
-	// LogPath overrides where the CSV log lands in the simulated filesystem
-	// ("" = DefaultLogPath).
-	LogPath string
-	// LogWriter, if set, additionally receives every CSV chunk as it is
-	// written — the injectable sink that frees callers from fishing the log
-	// back out of the simulated FS.
-	LogWriter io.Writer
-
 	// Err records the fatal error that aborted the run (permanent ioctl
 	// failure, retry exhaustion, poll deadline); nil for a clean run.
 	Err error
 	// Retries counts transient-failure retries across all ops.
 	Retries uint64
-	// WriteFailures counts log writes that failed (FS or LogWriter); the
-	// samples stay in Samples(), only the log copy is incomplete.
+	// WriteFailures counts log writes the filesystem failed; the samples
+	// stay in Samples(), only the log copy is incomplete.
 	WriteFailures uint64
 	// WriteErr is the first write failure (nil if none).
 	WriteErr error
@@ -343,10 +334,10 @@ func (c *Controller) logOp(k *kernel.Kernel, n int) kernel.Op {
 }
 
 // writeOp is the log write syscall (issued after the format block): the
-// pending samples are rendered as CSV rows and appended to the log file in
-// the kernel's filesystem, paying the journal/flush cost plus the VFS
-// per-byte copy price. Write failures are recorded, never fatal: the
-// drained samples are already safe in c.batches.
+// pending samples are rendered as CSV rows (trace's log format) and
+// appended to DefaultLogPath in the kernel's filesystem, paying the
+// journal/flush cost plus the VFS per-byte copy price. Write failures are
+// recorded, never fatal: the drained samples are already safe in c.batches.
 //
 //klebvet:artifact
 func (c *Controller) writeOp(n int) kernel.Op {
@@ -355,67 +346,18 @@ func (c *Controller) writeOp(n int) kernel.Op {
 		buf := c.logBuf[:0]
 		if !c.wroteHeader {
 			c.wroteHeader = true
-			buf = append(buf, "time_us"...)
-			for _, ev := range c.Cfg.Events {
-				buf = append(buf, ',')
-				buf = append(buf, ev.String()...)
-			}
-			buf = append(buf, '\n')
+			buf = trace.AppendCSVHeader(buf, c.Cfg.Events)
 		}
-		for _, s := range c.pending {
-			buf = appendMicros(buf, s.Time)
-			for i := range c.Cfg.Events {
-				var v uint64
-				if i < len(s.Deltas) {
-					v = s.Deltas[i]
-				}
-				buf = append(buf, ',')
-				buf = strconv.AppendUint(buf, v, 10)
-			}
-			buf = append(buf, '\n')
+		for i := range c.pending {
+			buf = trace.AppendCSVRow(buf, &c.pending[i], len(c.Cfg.Events))
 		}
 		c.pending = nil // rendered; the batch lives on in c.batches only
 		c.logBuf = buf
-		if err := k.FS().Append(c.logPath(), buf); err != nil {
+		if err := k.FS().Append(DefaultLogPath, buf); err != nil {
 			c.noteWriteFailure(k, err)
-		}
-		if c.LogWriter != nil {
-			if _, err := c.LogWriter.Write(buf); err != nil {
-				c.noteWriteFailure(k, err)
-			}
 		}
 		return nil
 	}}
-}
-
-// appendMicros appends t as microseconds with one decimal, byte for byte
-// what strconv.AppendFloat(buf, float64(t)/1000, 'f', 1, 64) appends, but in
-// integer arithmetic: AppendFloat with a fixed precision always takes
-// strconv's arbitrary-precision path. The integer rounding is exact below
-// 2^50 ns, where the double's error is under 1/8000 µs, because a time
-// whose remainder mod 100 ns is not 50 lies at least 1 ns from a rounding
-// boundary. An exact tie rounds by its binary value, so ties and larger
-// times go through strconv.
-func appendMicros(buf []byte, t ktime.Time) []byte {
-	ns := uint64(t)
-	rem := ns % 100
-	if rem == 50 || ns >= 1<<50 {
-		return strconv.AppendFloat(buf, float64(ns)/1000, 'f', 1, 64)
-	}
-	tenths := ns / 100
-	if rem > 50 {
-		tenths++
-	}
-	buf = strconv.AppendUint(buf, tenths/10, 10)
-	return append(buf, '.', byte('0'+tenths%10))
-}
-
-// logPath returns the effective CSV log location.
-func (c *Controller) logPath() string {
-	if c.LogPath != "" {
-		return c.LogPath
-	}
-	return DefaultLogPath
 }
 
 // ioctlOp wraps a module ioctl in a syscall op.

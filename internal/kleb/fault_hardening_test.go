@@ -1,7 +1,6 @@
 package kleb
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -204,30 +203,6 @@ func TestWriteFailuresDegradeButKeepSamples(t *testing.T) {
 		t.Error("every append failed, yet the log file exists")
 	}
 	checkLedger(t, tool, len(res.Result.Samples))
-}
-
-// errWriter always fails, modelling a full or closed log sink.
-type errWriter struct{}
-
-func (errWriter) Write([]byte) (int, error) { return 0, errors.New("log sink full") }
-
-func TestLogWriterFailureDegrades(t *testing.T) {
-	// No fault plan at all: a failing user-supplied LogWriter alone must be
-	// recorded instead of silently swallowed (the old writeOp bug).
-	script := targetScript(100_000_000)
-	res, tool := runFaulted(t, 66, script, stdConfig(ktime.Millisecond), nil, func(tl *Tool) {
-		tl.LogWriter = errWriter{}
-	})
-	if !res.Result.Degraded {
-		t.Error("LogWriter failures must mark the run degraded")
-	}
-	if !strings.Contains(res.Result.Fault, "log sink full") {
-		t.Errorf("fault should surface the writer's error, got %q", res.Result.Fault)
-	}
-	if got := res.Result.Totals[isa.EvInstructions]; got != script.TotalInstr() {
-		t.Errorf("samples must survive a dead LogWriter: totals %d, want %d", got, script.TotalInstr())
-	}
-	_ = tool
 }
 
 func TestDroppedCountsElapsedPeriods(t *testing.T) {

@@ -3,7 +3,6 @@ package kleb
 import (
 	"bytes"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -169,7 +168,9 @@ func TestIsolationFromOtherProcesses(t *testing.T) {
 		NewTarget: func() kernel.Program { return script.Program() },
 		NewTool:   session.Use(tool),
 		Config:    stdConfig(ktime.Millisecond),
-		Noise:     true,
+		OnBoot: func(m *machine.Machine) {
+			m.Kernel().SpawnDaemon("os-noise", workload.OSNoise(6^0x9e37))
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -449,42 +450,55 @@ func TestRingFIFOProperty(t *testing.T) {
 	}
 }
 
+// TestControllerLogOnFilesystem: the controller logs the samples to the
+// kernel's filesystem (the paper's design point), and at the paper's 100µs
+// period the log is byte for byte trace.WriteCSV of the collected series,
+// over a synthetic target and over the serve model, each more than a
+// thousand rows long.
 func TestControllerLogOnFilesystem(t *testing.T) {
-	// The controller logs the samples to the kernel's filesystem (the
-	// paper's design point); the log must parse back to exactly the
-	// collected series, and at the paper's 100µs period every row's time
-	// field must be the sample time rendered as strconv renders it.
-	script := targetScript(100_000_000)
-	res, _ := runWithKLEB(t, 30, script, stdConfig(100*ktime.Microsecond), nil)
-
-	raw, ok := res.Machine.Kernel().FS().ReadFile(DefaultLogPath)
-	if !ok {
-		t.Fatalf("controller log %s missing; files: %v", DefaultLogPath, res.Machine.Kernel().FS().Names())
-	}
-	events, samples, err := trace.ReadCSV(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != len(res.Result.Events) {
-		t.Fatalf("log columns %d, collected %d", len(events), len(res.Result.Events))
-	}
-	if len(samples) != len(res.Result.Samples) {
-		t.Fatalf("log rows %d, collected samples %d", len(samples), len(res.Result.Samples))
-	}
-	var logInstr, memInstr uint64
-	for i := range samples {
-		logInstr += samples[i].Deltas[0]
-		memInstr += res.Result.Samples[i].Deltas[0]
-	}
-	if logInstr != memInstr {
-		t.Errorf("log total %d != collected total %d", logInstr, memInstr)
-	}
-	rows := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")[1:]
-	for i, row := range rows {
-		got, _, _ := strings.Cut(row, ",")
-		if want := microsRef(res.Result.Samples[i].Time); got != want {
-			t.Fatalf("row %d time field %q, want %q", i+1, got, want)
-		}
+	serve := workload.NewServe()
+	serve.TotalInstr = 50_000_000
+	for _, c := range []struct {
+		name   string
+		target func() kernel.Program
+	}{
+		{"synthetic", func() kernel.Program { return targetScript(400_000_000).Program() }},
+		{"serve", func() kernel.Program { return serve.Program(30) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := session.Run(session.Spec{
+				Profile:   quietProfile(),
+				Seed:      30,
+				NewTarget: c.target,
+				NewTool:   session.Use(New()),
+				Config:    stdConfig(100 * ktime.Microsecond),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(res.Result.Samples); n <= 1000 {
+				t.Fatalf("%d samples; the test needs more than 1000", n)
+			}
+			raw, ok := res.Machine.Kernel().FS().ReadFile(DefaultLogPath)
+			if !ok {
+				t.Fatalf("controller log %s missing; files: %v", DefaultLogPath, res.Machine.Kernel().FS().Names())
+			}
+			var want bytes.Buffer
+			if err := trace.WriteCSV(&want, res.Result.Events, res.Result.Samples); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d samples, %d log bytes", len(res.Result.Samples), len(raw))
+			if bytes.Equal(raw, want.Bytes()) {
+				return
+			}
+			got, exp := strings.Split(string(raw), "\n"), strings.Split(want.String(), "\n")
+			for i := 0; i < len(got) && i < len(exp); i++ {
+				if got[i] != exp[i] {
+					t.Fatalf("log line %d is %q, WriteCSV gives %q", i+1, got[i], exp[i])
+				}
+			}
+			t.Fatalf("the log has %d lines, WriteCSV gives %d", len(got), len(exp))
+		})
 	}
 }
 
@@ -553,50 +567,6 @@ func TestControllerKeepsDrainBatches(t *testing.T) {
 	if got := res.Totals[isa.EvInstructions]; got != script.TotalInstr() {
 		t.Errorf("instructions %d, want %d", got, script.TotalInstr())
 	}
-}
-
-// microsRef is the rendering appendMicros must reproduce.
-func microsRef(t ktime.Time) string {
-	return strconv.FormatFloat(float64(t)/1000, 'f', 1, 64)
-}
-
-func TestAppendMicros(t *testing.T) {
-	for _, c := range []struct {
-		ns   uint64
-		want string
-	}{
-		{0, "0.0"},
-		{49, "0.0"},
-		{50, "0.1"}, // a tie: the double 0.05 is just above it
-		{51, "0.1"},
-		{1250, "1.2"}, // exact binary ties round to even
-		{1750, "1.8"},
-		{9960, "10.0"}, // the carry into the integer part
-		{1<<50 - 1, "1125899906842.6"},
-		{1 << 50, "1125899906842.6"},
-		{1<<55 + 83, "36028797018964.0"}, // the integer path would give .1
-		{^uint64(0), "18446744073709552.0"},
-	} {
-		got := string(appendMicros([]byte("x"), ktime.Time(c.ns)))
-		if got != "x"+c.want || c.want != microsRef(ktime.Time(c.ns)) {
-			t.Errorf("appendMicros(%d) = %q, want %q (strconv %q)", c.ns, got[1:], c.want, microsRef(ktime.Time(c.ns)))
-		}
-	}
-}
-
-func FuzzAppendMicros(f *testing.F) {
-	for _, ns := range []uint64{0, 49, 50, 51, 1250, 1750, 9960, 1<<50 - 1, 1 << 50, 1<<55 + 83, ^uint64(0)} {
-		f.Add(ns)
-	}
-	f.Fuzz(func(t *testing.T, ns uint64) {
-		// The second value keeps most inputs on the integer path, which
-		// covers times below 2^50 ns.
-		for _, v := range []uint64{ns, ns % (1 << 50)} {
-			if got, want := string(appendMicros(nil, ktime.Time(v))), microsRef(ktime.Time(v)); got != want {
-				t.Fatalf("appendMicros(%d) = %q, strconv gives %q", v, got, want)
-			}
-		}
-	})
 }
 
 // stoppingController configures, starts, waits a fixed time, then issues
@@ -732,7 +702,7 @@ func TestTwoKLEBStacksOnTwoCores(t *testing.T) {
 		}
 		m.Kernel().Resume(target)
 	}
-	if err := cluster.Run(0, 0); err != nil {
+	if err := cluster.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	for i := range tools {

@@ -2,7 +2,6 @@ package kleb
 
 import (
 	"fmt"
-	"io"
 
 	"kleb/internal/fault"
 	"kleb/internal/isa"
@@ -20,11 +19,6 @@ type Tool struct {
 	DrainInterval ktime.Duration
 	// BufferSamples overrides the kernel ring size (0 = default).
 	BufferSamples int
-	// LogPath overrides where the controller's CSV log lands in the
-	// simulated filesystem ("" = kleb.DefaultLogPath).
-	LogPath string
-	// LogWriter, if set, additionally receives the CSV log as it is written.
-	LogWriter io.Writer
 
 	cfg     monitor.Config
 	module  *Module
@@ -69,8 +63,6 @@ func (t *Tool) Attach(m *machine.Machine, target *kernel.Process, _ kernel.Progr
 	if t.DrainInterval > 0 {
 		t.ctl.DrainInterval = t.DrainInterval
 	}
-	t.ctl.LogPath = t.LogPath
-	t.ctl.LogWriter = t.LogWriter
 	t.ctlProc = m.Kernel().Spawn("kleb-controller", t.ctl)
 	// An armed module-unload fault rips the module out mid-run (rmmod while
 	// collecting): subsequent controller ioctls hit a missing device, which

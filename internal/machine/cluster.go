@@ -73,25 +73,22 @@ func (c *Cluster) Release() {
 	c.llc.Release()
 }
 
-// DefaultQuantum is the lockstep window for co-simulation: small enough
-// that cross-core LLC contention interleaves at sub-timeslice granularity,
+// Quantum is the lockstep window for co-simulation: small enough that
+// cross-core LLC contention interleaves at sub-timeslice granularity,
 // large enough to keep stepping overhead negligible.
-const DefaultQuantum = 100 * ktime.Microsecond
+const Quantum = 100 * ktime.Microsecond
 
-// Run co-simulates every core in lockstep windows of quantum (0 selects
-// DefaultQuantum) until all cores are idle or limit virtual time has passed
-// on every core (limit 0 = no limit). Within each window the cores advance
-// independently; across windows their clocks stay within one quantum of
-// each other, so shared-LLC interference is modeled at that granularity.
-func (c *Cluster) Run(quantum, limit ktime.Duration) error {
-	if quantum == 0 {
-		quantum = DefaultQuantum
-	}
+// Run co-simulates every core in lockstep windows of Quantum until all
+// cores are idle or limit virtual time has passed on every core (limit 0 =
+// no limit). Within each window the cores advance independently; across
+// windows their clocks stay within one quantum of each other, so
+// shared-LLC interference is modeled at that granularity.
+func (c *Cluster) Run(limit ktime.Duration) error {
 	var deadline ktime.Time
 	if limit > 0 {
 		deadline = ktime.Time(limit)
 	}
-	for t := ktime.Time(quantum); ; t = t.Add(quantum) {
+	for t := ktime.Time(Quantum); ; t = t.Add(Quantum) {
 		anyAlive := false
 		for _, m := range c.cores {
 			if m.Kernel().Idle() {
@@ -119,11 +116,11 @@ func (c *Cluster) Run(quantum, limit ktime.Duration) error {
 			if deadline > 0 && next > deadline {
 				next = deadline
 			}
-			if next > t.Add(quantum) {
+			if next > t.Add(Quantum) {
 				// Skip every whole window that ends before next; the loop's
 				// increment then lands on the first grid point ≥ next.
-				steps := uint64(next.Sub(t)-1) / uint64(quantum)
-				t = t.Add(ktime.Duration(steps) * quantum)
+				steps := uint64(next.Sub(t)-1) / uint64(Quantum)
+				t = t.Add(ktime.Duration(steps) * Quantum)
 			}
 		}
 	}

@@ -21,7 +21,7 @@ func runInstrumentedCluster(t *testing.T, seed uint64, instrument bool) ([2]ktim
 	}
 	pa := c.Cores()[0].Kernel().Spawn("a", busyProg(60, 0x1000_0000, 1<<20))
 	pb := c.Cores()[1].Kernel().Spawn("b", busyProg(80, 0x2000_0000, 2<<20))
-	if err := c.Run(0, 0); err != nil {
+	if err := c.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if !pa.Exited() || !pb.Exited() {
@@ -110,7 +110,7 @@ func TestClusterTelemetryShortSinkSlice(t *testing.T) {
 	c.SetTelemetry([]*telemetry.Sink{s})
 	c.Cores()[0].Kernel().Spawn("a", busyProg(10, 0x1000_0000, 1<<20))
 	c.Cores()[1].Kernel().Spawn("b", busyProg(10, 0x2000_0000, 1<<20))
-	if err := c.Run(0, 0); err != nil {
+	if err := c.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if s.Registry().CtxSwitches.Value() == 0 {

@@ -61,7 +61,7 @@ func TestClusterRunsCoresInLockstep(t *testing.T) {
 	c := BootCluster(quiet(), 2, 2)
 	pa := c.Cores()[0].Kernel().Spawn("a", busyProg(100, 0x1000_0000, 1<<20))
 	pb := c.Cores()[1].Kernel().Spawn("b", busyProg(100, 0x2000_0000, 1<<20))
-	if err := c.Run(0, 0); err != nil {
+	if err := c.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if !pa.Exited() || !pb.Exited() {
@@ -73,7 +73,7 @@ func TestClusterRunsCoresInLockstep(t *testing.T) {
 	if pb.ExitTime() > pa.ExitTime() {
 		gap = pb.ExitTime().Sub(pa.ExitTime())
 	}
-	if gap > 10*DefaultQuantum {
+	if gap > 10*Quantum {
 		t.Errorf("cores diverged by %v; lockstep broken", gap)
 	}
 }
@@ -83,7 +83,7 @@ func TestClusterSharedLLCContention(t *testing.T) {
 	// streaming neighbour: the neighbour must slow it down.
 	solo := BootCluster(quiet(), 3, 2)
 	p := solo.Cores()[0].Kernel().Spawn("victim", busyProg(400, 0x1000_0000, 6<<20))
-	if err := solo.Run(0, 0); err != nil {
+	if err := solo.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	alone := p.Runtime()
@@ -91,7 +91,7 @@ func TestClusterSharedLLCContention(t *testing.T) {
 	shared := BootCluster(quiet(), 3, 2)
 	v := shared.Cores()[0].Kernel().Spawn("victim", busyProg(400, 0x1000_0000, 6<<20))
 	shared.Cores()[1].Kernel().Spawn("stream", busyProg(2000, 0x9000_0000, 64<<20))
-	if err := shared.Run(0, 0); err != nil {
+	if err := shared.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	contended := v.Runtime()
@@ -111,7 +111,7 @@ func TestClusterRunLimit(t *testing.T) {
 				Priv: isa.User,
 			}}
 		}))
-	if err := c.Run(0, 5*ktime.Millisecond); err != nil {
+	if err := c.Run(5 * ktime.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	now := c.Cores()[0].Kernel().Now()
@@ -132,7 +132,7 @@ func TestClusterPerCorePMUsIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Cores()[1].Kernel().Spawn("other", busyProg(50, 0x5000_0000, 1<<20))
-	if err := c.Run(0, 0); err != nil {
+	if err := c.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := pm0.ReadMSR(0xC1); v != 0 {
@@ -170,7 +170,7 @@ func TestClusterRelease(t *testing.T) {
 	c := BootCluster(quiet(), 3, 2)
 	c.Cores()[0].Kernel().Spawn("a", busyProg(20, 0x1000_0000, 1<<20))
 	c.Cores()[1].Kernel().Spawn("b", busyProg(20, 0x2000_0000, 1<<20))
-	if err := c.Run(0, 0); err != nil {
+	if err := c.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	c.Cores()[0].Release()
@@ -290,11 +290,11 @@ func TestIdleFastForwardMatchesEveryWindow(t *testing.T) {
 	}
 	for _, limit := range []ktime.Duration{0, 31 * ktime.Millisecond} {
 		fast, fastProcs := boot()
-		if err := fast.Run(0, limit); err != nil {
+		if err := fast.Run(limit); err != nil {
 			t.Fatal(err)
 		}
 		ref, refProcs := boot()
-		jumps, err := runEveryWindow(ref, DefaultQuantum, limit)
+		jumps, err := runEveryWindow(ref, Quantum, limit)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,6 @@
 package session
 
-import (
-	"kleb/internal/ktime"
-	"kleb/internal/machine"
-)
+import "kleb/internal/machine"
 
 // ClusterSpec describes one multi-core run: boot a shared-LLC socket,
 // let Place spawn work (and attach tools, via StartTarget) on its cores,
@@ -21,8 +18,6 @@ type ClusterSpec struct {
 	// inject a neighbour, continue); when nil the cluster runs to
 	// completion.
 	Drive func(c *machine.Cluster) error
-	// Limit caps simulated time (0 = none).
-	Limit ktime.Duration
 }
 
 // RunCluster boots the socket, places the work and drives it, returning
@@ -50,7 +45,7 @@ func RunCluster(spec ClusterSpec) (*machine.Cluster, error) {
 		}
 		return c, nil
 	}
-	if err := c.Run(machine.DefaultQuantum, spec.Limit); err != nil {
+	if err := c.Run(0); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -58,14 +58,22 @@ type batchExport struct {
 	batchTr []byte
 }
 
+// runWithBatchSink runs specs on a pool of w workers with batch installed
+// as the process-wide batch sink, and uninstalls it afterwards.
+func runWithBatchSink(t *testing.T, w int, batch *telemetry.Sink, specs []session.Spec) {
+	t.Helper()
+	session.SetBatchTelemetry(batch)
+	defer session.SetBatchTelemetry(nil)
+	if err := session.FirstErr(session.Scheduler{Workers: w}.Run(specs)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func runBatch(t *testing.T, n, w int) batchExport {
 	t.Helper()
 	specs, sinks := telemetrySpecs(n)
 	batch := telemetry.New()
-	sched := session.Scheduler{Workers: w, Telemetry: batch}
-	if err := session.FirstErr(sched.Run(specs)); err != nil {
-		t.Fatal(err)
-	}
+	runWithBatchSink(t, w, batch, specs)
 	var ex batchExport
 	for _, s := range sinks {
 		var tr, mx bytes.Buffer
@@ -154,10 +162,7 @@ func TestTelemetryDeterminismBatchMetricsOnly(t *testing.T) {
 			specs[i].Telemetry = nil
 		}
 		batch := telemetry.MetricsOnly()
-		sched := session.Scheduler{Workers: w, Telemetry: batch}
-		if err := session.FirstErr(sched.Run(specs)); err != nil {
-			t.Fatal(err)
-		}
+		runWithBatchSink(t, w, batch, specs)
 		var buf bytes.Buffer
 		if err := batch.WritePrometheus(&buf); err != nil {
 			t.Fatal(err)

@@ -13,16 +13,15 @@ import (
 // depends only on its Spec (most importantly its seed), so results are
 // bit-identical regardless of worker count or completion order; the
 // returned slice is always index-ordered to match the input.
+//
+// While a batch sink is installed (SetBatchTelemetry), Run aggregates into
+// it: each Spec lacking its own sink gets a private metrics-only sub-sink
+// whose registry is merged into the batch sink after the batch (merges are
+// commutative, so the aggregate is worker-count independent), and one
+// run-completion trace event is recorded per Spec in index order.
 type Scheduler struct {
 	// Workers is the pool size; 0 or negative selects GOMAXPROCS.
 	Workers int
-	// Telemetry, when set, is the batch-level sink: each Spec lacking its
-	// own sink gets a private metrics-only sub-sink whose registry is merged
-	// here after the batch (merges are commutative, so the aggregate is
-	// worker-count independent), and one run-completion trace event is
-	// recorded per Spec in index order. Nil falls back to the process-wide
-	// sink installed with SetBatchTelemetry.
-	Telemetry *telemetry.Sink
 }
 
 // Outcome pairs one Spec's result with its batch position. A failed run
@@ -43,10 +42,9 @@ var (
 	batchSink *telemetry.Sink // guarded by batchMu
 )
 
-// SetBatchTelemetry installs a process-wide batch sink that every Scheduler
-// without an explicit Telemetry field aggregates into. The binaries use it
-// to observe experiment runners that construct their own Schedulers. Nil
-// uninstalls.
+// SetBatchTelemetry installs the process-wide batch sink every Scheduler
+// aggregates into. The binaries use it to observe experiment runners that
+// construct their own Schedulers. Nil uninstalls.
 func SetBatchTelemetry(s *telemetry.Sink) {
 	batchMu.Lock()
 	batchSink = s
@@ -58,14 +56,6 @@ func BatchTelemetry() *telemetry.Sink {
 	batchMu.Lock()
 	defer batchMu.Unlock()
 	return batchSink
-}
-
-// batch resolves the effective batch sink for this scheduler.
-func (s Scheduler) batch() *telemetry.Sink {
-	if s.Telemetry != nil {
-		return s.Telemetry
-	}
-	return BatchTelemetry()
 }
 
 // workers resolves the configured pool size.
@@ -104,7 +94,7 @@ func (s Scheduler) poolSize(n int) int {
 // Run executes every Spec in the batch over the worker pool and returns
 // the outcomes in Spec order.
 func (s Scheduler) Run(specs []Spec) []Outcome {
-	batch := s.batch()
+	batch := BatchTelemetry()
 	var subs []*telemetry.Sink
 	if batch != nil {
 		subs = make([]*telemetry.Sink, len(specs))

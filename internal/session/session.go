@@ -16,7 +16,6 @@ import (
 	"kleb/internal/machine"
 	"kleb/internal/monitor"
 	"kleb/internal/telemetry"
-	"kleb/internal/workload"
 )
 
 // Spec fully describes one run: which machine, which workload, which tool,
@@ -37,13 +36,12 @@ type Spec struct {
 	NewTool func() (monitor.Tool, error)
 	// Config is the monitoring request (ignored when NewTool is nil).
 	Config monitor.Config
-	// Noise adds the background OS-noise daemon.
-	Noise bool
 	// Limit caps simulated time as a runaway guard (0 = none).
 	Limit ktime.Duration
 	// OnBoot, when set, runs right after the machine boots and before any
 	// process is spawned — the hook for attaching debug instrumentation
-	// (syscall tracing, state dumps) or arming bare kernel timers.
+	// (syscall tracing, state dumps), arming bare kernel timers or
+	// spawning background daemons such as workload.OSNoise.
 	OnBoot func(*machine.Machine)
 	// Telemetry, when set, receives the run's trace events and metrics (see
 	// internal/telemetry). The sink is attached to the kernel at boot, before
@@ -112,8 +110,8 @@ func (s *Session) stage(name string) {
 // New prepares a session for spec without booting anything yet.
 func New(spec Spec) *Session { return &Session{spec: spec} }
 
-// Boot validates the spec, boots the machine, runs the OnBoot hook and
-// starts the noise daemon. It is idempotent once successful.
+// Boot validates the spec, boots the machine and runs the OnBoot hook. It
+// is idempotent once successful.
 func (s *Session) Boot() (*machine.Machine, error) {
 	if s.machine != nil {
 		return s.machine, nil
@@ -135,9 +133,6 @@ func (s *Session) Boot() (*machine.Machine, error) {
 	}
 	if s.spec.OnBoot != nil {
 		s.spec.OnBoot(m)
-	}
-	if s.spec.Noise {
-		m.Kernel().SpawnDaemon("os-noise", workload.OSNoise(s.spec.Seed^0x9e37))
 	}
 	s.machine = m
 	s.stage("boot")

@@ -222,7 +222,9 @@ func TestNoiseChangesTiming(t *testing.T) {
 	}
 	noisy, err := session.Run(session.Spec{
 		Profile: machine.Nehalem(), Seed: 5, NewTarget: newTargetFactory(smallWorkload()),
-		Noise: true,
+		OnBoot: func(m *machine.Machine) {
+			m.Kernel().SpawnDaemon("os-noise", workload.OSNoise(5^0x9e37))
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

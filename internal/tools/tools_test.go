@@ -300,7 +300,9 @@ func TestLiMiTIsolatesCountsFromOtherProcesses(t *testing.T) {
 		NewTarget: func() kernel.Program { return s.Program() },
 		NewTool:   session.Use(tool),
 		Config:    monitor.Config{Events: stdEvents(), Period: 10 * ktime.Millisecond, ExcludeKernel: true},
-		Noise:     true,
+		OnBoot: func(m *machine.Machine) {
+			m.Kernel().SpawnDaemon("os-noise", workload.OSNoise(12^0x9e37))
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -14,78 +12,63 @@ import (
 
 // WriteCSV renders a sample series as CSV: a header of event mnemonics,
 // then one row per sample with the timestamp in microseconds. This is the
-// K-LEB controller's log file format.
+// K-LEB controller's log file format; the series is rendered into one
+// buffer and written to w once.
 func WriteCSV(w io.Writer, events []isa.Event, samples []monitor.Sample) error {
-	cols := make([]string, 0, len(events)+1)
-	cols = append(cols, "time_us")
-	for _, ev := range events {
-		cols = append(cols, ev.String())
+	buf := AppendCSVHeader(nil, events)
+	for i := range samples {
+		buf = AppendCSVRow(buf, &samples[i], len(events))
 	}
-	if _, err := fmt.Fprintln(w, strings.Join(cols, ",")); err != nil {
-		return err
-	}
-	for _, s := range samples {
-		row := make([]string, 0, len(events)+1)
-		row = append(row, fmt.Sprintf("%.1f", float64(s.Time)/1000))
-		for i := range events {
-			var v uint64
-			if i < len(s.Deltas) {
-				v = s.Deltas[i]
-			}
-			row = append(row, fmt.Sprintf("%d", v))
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(buf)
+	return err
 }
 
-// ReadCSV parses a sample log written by WriteCSV (or by the K-LEB
-// controller), returning the event columns and the samples.
-func ReadCSV(r io.Reader) ([]isa.Event, []monitor.Sample, error) {
-	scanner := bufio.NewScanner(r)
-	if !scanner.Scan() {
-		return nil, nil, fmt.Errorf("trace: empty log")
+// AppendCSVHeader appends the log's header line to buf: "time_us", then
+// one column per event mnemonic.
+func AppendCSVHeader(buf []byte, events []isa.Event) []byte {
+	buf = append(buf, "time_us"...)
+	for _, ev := range events {
+		buf = append(buf, ',')
+		buf = append(buf, ev.String()...)
 	}
-	header := strings.Split(scanner.Text(), ",")
-	if len(header) < 2 || header[0] != "time_us" {
-		return nil, nil, fmt.Errorf("trace: bad header %q", scanner.Text())
+	return append(buf, '\n')
+}
+
+// AppendCSVRow appends s as one log row of n count columns to buf; a
+// sample with fewer than n deltas reads 0 in the missing columns.
+func AppendCSVRow(buf []byte, s *monitor.Sample, n int) []byte {
+	buf = appendMicros(buf, s.Time)
+	for i := 0; i < n; i++ {
+		var v uint64
+		if i < len(s.Deltas) {
+			v = s.Deltas[i]
+		}
+		buf = append(buf, ',')
+		buf = strconv.AppendUint(buf, v, 10)
 	}
-	events := make([]isa.Event, 0, len(header)-1)
-	for _, name := range header[1:] {
-		ev, ok := isa.EventByName(name)
-		if !ok {
-			return nil, nil, fmt.Errorf("trace: unknown event column %q", name)
-		}
-		events = append(events, ev)
+	return append(buf, '\n')
+}
+
+// appendMicros appends t as microseconds with one decimal, byte for byte
+// what strconv.AppendFloat(buf, float64(t)/1000, 'f', 1, 64) appends, but in
+// integer arithmetic: AppendFloat with a fixed precision always takes
+// strconv's arbitrary-precision path. The integer rounding is exact below
+// 2^50 ns, where the double's error is under 1/8000 µs, because a time
+// whose remainder mod 100 ns is not 50 lies at least 1 ns from a rounding
+// boundary. An exact tie rounds by its binary value, so ties and larger
+// times go through strconv.
+func appendMicros(buf []byte, t ktime.Time) []byte {
+	ns := uint64(t)
+	rem := ns % 100
+	if rem == 50 || ns >= 1<<50 {
+		return strconv.AppendFloat(buf, float64(ns)/1000, 'f', 1, 64)
 	}
-	var samples []monitor.Sample
-	line := 1
-	for scanner.Scan() {
-		line++
-		fields := strings.Split(scanner.Text(), ",")
-		if len(fields) != len(header) {
-			return nil, nil, fmt.Errorf("trace: line %d has %d fields, want %d", line, len(fields), len(header))
-		}
-		us, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("trace: line %d timestamp: %w", line, err)
-		}
-		s := monitor.Sample{
-			Time:   ktime.Time(us * 1000),
-			Deltas: make([]uint64, len(events)),
-		}
-		for i, f := range fields[1:] {
-			v, err := strconv.ParseUint(f, 10, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("trace: line %d column %d: %w", line, i+1, err)
-			}
-			s.Deltas[i] = v
-		}
-		samples = append(samples, s)
+	tenths := ns / 100
+	if rem > 50 {
+		tenths++
 	}
-	return events, samples, scanner.Err()
+	buf = strconv.AppendUint(buf, tenths/10, 10)
+	return append(buf, '.', byte('0'+tenths%10))
 }
 
 // Bucket aggregates a delta series into n equal-count buckets (summing

@@ -213,51 +213,3 @@ func TestSparkline(t *testing.T) {
 		t.Errorf("all-zero series: %q", flat)
 	}
 }
-
-func TestCSVRoundTrip(t *testing.T) {
-	events := []isa.Event{isa.EvInstructions, isa.EvLLCMisses}
-	in := []monitor.Sample{
-		{Time: ktime.Time(100_500), Deltas: []uint64{1000, 5}},
-		{Time: ktime.Time(200_500), Deltas: []uint64{1100, 7}},
-	}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, events, in); err != nil {
-		t.Fatal(err)
-	}
-	gotEvents, gotSamples, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotEvents) != 2 || gotEvents[0] != isa.EvInstructions || gotEvents[1] != isa.EvLLCMisses {
-		t.Errorf("events: %v", gotEvents)
-	}
-	if len(gotSamples) != 2 {
-		t.Fatalf("samples: %d", len(gotSamples))
-	}
-	for i := range in {
-		if gotSamples[i].Deltas[0] != in[i].Deltas[0] || gotSamples[i].Deltas[1] != in[i].Deltas[1] {
-			t.Errorf("row %d deltas: %v vs %v", i, gotSamples[i].Deltas, in[i].Deltas)
-		}
-		// Timestamps survive to 0.1µs precision (the CSV format's grain).
-		diff := int64(gotSamples[i].Time) - int64(in[i].Time)
-		if diff < -100 || diff > 100 {
-			t.Errorf("row %d time: %v vs %v", i, gotSamples[i].Time, in[i].Time)
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"bogus,INST_RETIRED\n",
-		"time_us,NOT_AN_EVENT\n",
-		"time_us,INST_RETIRED\n1.0\n",            // short row
-		"time_us,INST_RETIRED\nabc,5\n",          // bad timestamp
-		"time_us,INST_RETIRED\n1.0,notanumber\n", // bad count
-	}
-	for _, c := range cases {
-		if _, _, err := ReadCSV(strings.NewReader(c)); err == nil {
-			t.Errorf("input %q should fail", c)
-		}
-	}
-}

@@ -85,8 +85,6 @@ type Serve struct {
 
 	// TotalInstr is the server's instruction budget — the run length.
 	TotalInstr uint64
-	// BlockInstr is the emission granularity (0 = the package default).
-	BlockInstr uint64
 	// CheckpointInstr is the capacity-checkpoint cadence in service
 	// instructions (0 = 1_000_000). It bounds how stale a window's
 	// capacity estimate can be; completions within a window are
@@ -135,7 +133,6 @@ func (s Serve) Script() Script {
 		Phases: []Phase{{
 			Name:           "serve",
 			TotalInstr:     s.TotalInstr,
-			BlockInstr:     s.BlockInstr,
 			LoadsPerK:      280,
 			StoresPerK:     110,
 			BranchesPerK:   170,

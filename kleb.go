@@ -29,7 +29,6 @@ import (
 	"kleb/internal/experiments"
 	"kleb/internal/isa"
 	"kleb/internal/kernel"
-	klebcore "kleb/internal/kleb"
 	"kleb/internal/ktime"
 	"kleb/internal/machine"
 	"kleb/internal/monitor"
@@ -326,10 +325,6 @@ type CollectOptions struct {
 	// metrics in Prometheus text exposition format, including the timer
 	// jitter and PMI latency histograms. Deterministic like Trace.
 	Metrics io.Writer
-	// ControllerLog overrides where the K-LEB controller writes its CSV
-	// sample log in the simulated filesystem ("" = /var/log/kleb.csv).
-	// Only meaningful for ToolKLEB.
-	ControllerLog string
 	// Workers sizes the scheduler pool used when the call needs several
 	// runs (Baseline, Compare); 0 means GOMAXPROCS. Results are identical
 	// for every worker count.
@@ -360,10 +355,6 @@ type Report struct {
 	OverheadPct     float64
 	// DroppedSamples counts buffer-full safety stops.
 	DroppedSamples uint64
-	// ControllerLog is the raw CSV log the K-LEB controller wrote to the
-	// simulated filesystem during the run (nil for other tools). It parses
-	// with the same format WriteCSV produces.
-	ControllerLog []byte
 }
 
 // SeriesFor extracts one event's per-sample delta series.
@@ -477,15 +468,7 @@ func monitoredSpec(opts CollectOptions, prof machine.Profile, kind ToolKind, per
 		Seed:       opts.Seed,
 		TargetName: opts.Workload.name,
 		NewTarget:  opts.Workload.factory,
-		NewTool: func() (monitor.Tool, error) {
-			t, err := newTool(kind)
-			if err == nil && opts.ControllerLog != "" {
-				if kt, ok := t.(*klebcore.Tool); ok {
-					kt.LogPath = opts.ControllerLog
-				}
-			}
-			return t, err
-		},
+		NewTool:    func() (monitor.Tool, error) { return newTool(kind) },
 		Config: monitor.Config{
 			Events:        opts.Events,
 			Raw:           opts.RawEvents,
@@ -510,13 +493,6 @@ func reportFrom(opts CollectOptions, kind ToolKind, run *session.Result) *Report
 		Scale:          run.Result.Scale,
 		Elapsed:        run.Elapsed,
 		DroppedSamples: run.Result.Dropped,
-	}
-	logPath := opts.ControllerLog
-	if logPath == "" {
-		logPath = klebcore.DefaultLogPath
-	}
-	if log, ok := run.Machine.Kernel().FS().ReadFile(logPath); ok {
-		report.ControllerLog = log
 	}
 	if report.Tool == "" {
 		report.Tool = ToolKLEB

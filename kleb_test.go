@@ -369,25 +369,3 @@ func TestEventPortabilityAcrossMachines(t *testing.T) {
 		t.Error("ARITH.MUL on Cascade Lake should be rejected")
 	}
 }
-
-func TestControllerLogExposedInReport(t *testing.T) {
-	report, err := kleb.Collect(kleb.CollectOptions{
-		Workload: kleb.Synthetic(60_000_000, 64<<10, 0),
-		Events:   []kleb.Event{kleb.Instructions},
-		Period:   kleb.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.ControllerLog) == 0 {
-		t.Fatal("controller log missing from the report")
-	}
-	if !strings.HasPrefix(string(report.ControllerLog), "time_us,INST_RETIRED") {
-		t.Errorf("log header: %q", string(report.ControllerLog[:40]))
-	}
-	// Row count matches the collected series (plus the header line).
-	rows := strings.Count(strings.TrimSpace(string(report.ControllerLog)), "\n")
-	if rows != len(report.Samples) {
-		t.Errorf("log rows %d, samples %d", rows, len(report.Samples))
-	}
-}

@@ -156,31 +156,3 @@ func TestCollectTelemetryDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestCollectControllerLogOverride covers the injectable controller log
-// path: the CSV lands at the requested simulated-FS path and matches what
-// the default path produces for the same seed.
-func TestCollectControllerLogOverride(t *testing.T) {
-	base := kleb.CollectOptions{
-		Workload: kleb.Synthetic(60_000_000, 1<<20, 0.02),
-		Events:   []kleb.Event{kleb.Instructions, kleb.LLCMisses},
-		Period:   kleb.Millisecond,
-		Seed:     3,
-	}
-	def, err := kleb.Collect(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	custom := base
-	custom.ControllerLog = "/data/run42/kleb.csv"
-	over, err := kleb.Collect(custom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(over.ControllerLog) == 0 {
-		t.Fatal("no controller log found at the overridden path")
-	}
-	if !bytes.Equal(def.ControllerLog, over.ControllerLog) {
-		t.Error("controller log content changed when only its path moved")
-	}
-}
