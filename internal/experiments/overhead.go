@@ -78,7 +78,7 @@ func RunOverhead(p Params, wl Workload) (*OverheadResult, error) {
 			profiles = append(profiles, p)
 		}
 	}
-	var baseSpecs []session.Spec
+	baseSpecs := make([]session.Spec, 0, len(profiles)*trials)
 	for _, prof := range profiles {
 		for trial := 0; trial < trials; trial++ {
 			baseSpecs = append(baseSpecs, baselineSpec(prof, p.Seed+uint64(trial)*7919, script))
@@ -96,7 +96,7 @@ func RunOverhead(p Params, wl Workload) (*OverheadResult, error) {
 	}
 
 	// Batch 2: one monitored run per (tool, trial).
-	var specs []session.Spec
+	specs := make([]session.Spec, 0, len(tools)*trials)
 	for _, kind := range tools {
 		for trial := 0; trial < trials; trial++ {
 			base := baselines[profileFor(kind).Name][trial]

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"kleb/internal/allocs"
 	"kleb/internal/isa"
 	"kleb/internal/ktime"
 	"kleb/internal/pmu"
@@ -307,16 +308,17 @@ func TestSteadyRunCurrentNoAlloc(t *testing.T) {
 				}
 			}
 			step() // warm up: first blocks grow the pending queue, event heap and cache cursors
-			// AllocsPerRun truncates its per-run mean to an integer, so the
-			// whole window is one run: a single allocation in it fails.
+			// The window runs once and a single allocation the program makes
+			// in it fails; the Go runtime's own allocations do not count
+			// (allocs.Count).
 			const steps = 10
 			window := func() {
 				for i := 0; i < steps; i++ {
 					step()
 				}
 			}
-			if n := testing.AllocsPerRun(1, window); n != 0 {
-				t.Errorf("%d RunUntil steps allocate %v times in total, want 0", steps, n)
+			if n, where := allocs.Count(window); n != 0 {
+				t.Errorf("%d RunUntil steps allocate %d times in total, want 0:\n%s", steps, n, where)
 			}
 		})
 	}

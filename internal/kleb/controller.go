@@ -80,9 +80,10 @@ type Controller struct {
 	WriteErr error
 
 	state       int
-	batches     [][]monitor.Sample // every KLEB_READ batch, in drain order
-	pending     []monitor.Sample   // drained but not yet logged
-	logBuf      []byte             // writeOp's CSV rows, reused across writes
+	batches     []Batch          // KLEB_READ replies since Samples() last ran, in drain order
+	samples     []monitor.Sample // the headers Samples() built
+	pending     Batch            // drained but not yet logged
+	logBuf      []byte           // writeOp's CSV rows, reused across writes
 	wroteHeader bool
 	done        bool
 	finishing   bool // module reported Done; draining the tail
@@ -120,27 +121,29 @@ func NewController(cfg ModuleConfig) *Controller {
 }
 
 // Samples returns everything drained, in capture order. Each KLEB_READ
-// batch is kept as the module handed it over (popN gives every batch its
-// own storage), so a drain copies no sample; the first call after a drain
-// joins the batches into one exact-size slice, which later calls return.
+// reply is kept as the module handed it over, so its two arrays are the
+// run's only copy of the samples. The first call after a drain builds the
+// headers once: one exact-size slice, the earlier headers first, whose
+// Deltas are capped sub-slices of the batches' delta arrays. It then drops
+// the batches (their time arrays are garbage), and later calls return the
+// same slice until another drain arrives.
 func (c *Controller) Samples() []monitor.Sample {
-	switch len(c.batches) {
-	case 0:
-		return nil
-	case 1:
-		return c.batches[0]
+	if len(c.batches) == 0 {
+		return c.samples
 	}
-	n := 0
+	n := len(c.samples)
 	for _, b := range c.batches {
-		n += len(b)
+		n += len(b.Times)
 	}
-	all := make([]monitor.Sample, 0, n)
+	all := make([]monitor.Sample, n)
+	i := copy(all, c.samples)
 	for _, b := range c.batches {
-		all = append(all, b...)
+		for j := range b.Times {
+			all[i] = b.Sample(j)
+			i++
+		}
 	}
-	// Drop the batches from the backing array too, or it keeps them alive.
-	clear(c.batches[1:])
-	c.batches = append(c.batches[:0], all)
+	c.batches, c.samples = nil, all
 	return all
 }
 
@@ -235,15 +238,15 @@ func (c *Controller) Next(k *kernel.Kernel, p *kernel.Process) kernel.Op {
 			return c.retryOrAbort(k, "KLEB_READ", err, ctlDrain)
 		}
 		c.attempts = 0
-		if got, ok := p.SyscallResult.([]monitor.Sample); ok && len(got) > 0 {
+		if got, ok := p.SyscallResult.(Batch); ok && len(got.Times) > 0 {
 			c.pending = got
 			c.batches = append(c.batches, got)
 			c.lastSeenAt = k.Now()
 			c.futile = 0
 			c.state = ctlWrite
-			return c.logOp(k, len(c.pending))
+			return c.logOp(k, len(got.Times))
 		}
-		c.pending = nil
+		c.pending = Batch{}
 		if c.finishing {
 			// Final-drain loop: the module says samples remain but the
 			// read yielded none (drain starvation). Bound the loop so a
@@ -258,7 +261,7 @@ func (c *Controller) Next(k *kernel.Kernel, p *kernel.Process) kernel.Op {
 		return c.Next(k, p)
 	case ctlWrite:
 		c.state = ctlCheck
-		return c.writeOp(len(c.pending))
+		return c.writeOp()
 	case ctlCheck:
 		c.state = ctlFinal
 		return ioctlOp("KLEB_STATUS", CmdStatus, nil)
@@ -334,13 +337,13 @@ func (c *Controller) logOp(k *kernel.Kernel, n int) kernel.Op {
 }
 
 // writeOp is the log write syscall (issued after the format block): the
-// pending samples are rendered as CSV rows (trace's log format) and
-// appended to DefaultLogPath in the kernel's filesystem, paying the
-// journal/flush cost plus the VFS per-byte copy price. Write failures are
-// recorded, never fatal: the drained samples are already safe in c.batches.
+// pending batch is rendered as CSV rows (trace's log format) and appended
+// to DefaultLogPath in the kernel's filesystem, paying the journal/flush
+// cost plus the VFS per-byte copy price. Write failures are recorded, never
+// fatal: the drained samples are already safe in c.batches.
 //
 //klebvet:artifact
-func (c *Controller) writeOp(n int) kernel.Op {
+func (c *Controller) writeOp() kernel.Op {
 	return kernel.OpSyscall{Name: "write", Fn: func(k *kernel.Kernel, p *kernel.Process) any {
 		k.ChargeKernel(350 * ktime.Microsecond) // journal + page-cache flush
 		buf := c.logBuf[:0]
@@ -348,10 +351,11 @@ func (c *Controller) writeOp(n int) kernel.Op {
 			c.wroteHeader = true
 			buf = trace.AppendCSVHeader(buf, c.Cfg.Events)
 		}
-		for i := range c.pending {
-			buf = trace.AppendCSVRow(buf, &c.pending[i], len(c.Cfg.Events))
+		for i := range c.pending.Times {
+			s := c.pending.Sample(i)
+			buf = trace.AppendCSVRow(buf, &s, len(c.Cfg.Events))
 		}
-		c.pending = nil // rendered; the batch lives on in c.batches only
+		c.pending = Batch{} // rendered; the batch lives on in c.batches only
 		c.logBuf = buf
 		if err := k.FS().Append(DefaultLogPath, buf); err != nil {
 			c.noteWriteFailure(k, err)

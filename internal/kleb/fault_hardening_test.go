@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"kleb/internal/allocs"
 	"kleb/internal/fault"
 	"kleb/internal/isa"
 	"kleb/internal/kernel"
@@ -21,11 +22,19 @@ import (
 // regresses against) would otherwise hang the test binary.
 func runFaulted(t *testing.T, seed uint64, script workload.Script, cfg monitor.Config, plan *fault.Plan, tweak func(*Tool)) (*session.Result, *Tool) {
 	t.Helper()
+	sess, tool := driveFaulted(t, seed, script, cfg, plan, tweak)
+	return sess.Drain(), tool
+}
+
+// driveFaulted is runFaulted up to the end of the run, before Drain
+// releases the machine's storage, for tests that inspect the filesystem.
+func driveFaulted(t *testing.T, seed uint64, script workload.Script, cfg monitor.Config, plan *fault.Plan, tweak func(*Tool)) (*session.Session, *Tool) {
+	t.Helper()
 	tool := New()
 	if tweak != nil {
 		tweak(tool)
 	}
-	res, err := session.Run(session.Spec{
+	sess := session.New(session.Spec{
 		Profile:   quietProfile(),
 		Seed:      seed,
 		NewTarget: func() kernel.Program { return script.Program() },
@@ -34,10 +43,10 @@ func runFaulted(t *testing.T, seed uint64, script workload.Script, cfg monitor.C
 		Faults:    plan,
 		Limit:     5 * ktime.Second,
 	})
-	if err != nil {
+	if err := sess.Drive(); err != nil {
 		t.Fatal(err)
 	}
-	return res, tool
+	return sess, tool
 }
 
 // checkLedger asserts the module's period-conservation invariant: every
@@ -186,7 +195,13 @@ func TestWriteFailuresDegradeButKeepSamples(t *testing.T) {
 	plan := fault.NewPlan(65)
 	plan.PFSWrite = 1
 	script := targetScript(100_000_000)
-	res, tool := runFaulted(t, 65, script, stdConfig(ktime.Millisecond), plan, nil)
+	sess, tool := driveFaulted(t, 65, script, stdConfig(ktime.Millisecond), plan, nil)
+	// Drain releases the filesystem, so the log is looked for before it.
+	m, _ := sess.Boot()
+	if _, ok := m.Kernel().FS().ReadFile(DefaultLogPath); ok {
+		t.Error("every append failed, yet the log file exists")
+	}
+	res := sess.Drain()
 	if !tool.ControllerExited() {
 		t.Fatal("controller did not exit")
 	}
@@ -198,9 +213,6 @@ func TestWriteFailuresDegradeButKeepSamples(t *testing.T) {
 	}
 	if got := res.Result.Totals[isa.EvInstructions]; got != script.TotalInstr() {
 		t.Errorf("samples must survive log failures: totals %d, want %d", got, script.TotalInstr())
-	}
-	if _, ok := res.Machine.Kernel().FS().ReadFile(DefaultLogPath); ok {
-		t.Error("every append failed, yet the log file exists")
 	}
 	checkLedger(t, tool, len(res.Result.Samples))
 }
@@ -314,16 +326,16 @@ func TestCaptureSampleNoAlloc(t *testing.T) {
 		mod.captureSample(false)
 	}
 	mod.read(0)
-	// AllocsPerRun truncates its per-run mean to an integer, so the whole
-	// window is one run: a single allocation in it fails.
+	// The window runs once and a single allocation the program makes in it
+	// fails; the Go runtime's own allocations do not count (allocs.Count).
 	const captures = 100
 	window := func() {
 		for i := 0; i < captures; i++ {
 			mod.captureSample(false)
 		}
 	}
-	if n := testing.AllocsPerRun(1, window); n != 0 {
-		t.Errorf("%d captures allocate %v times in total in steady state, want 0", captures, n)
+	if n, where := allocs.Count(window); n != 0 {
+		t.Errorf("%d captures allocate %d times in total in steady state, want 0:\n%s", captures, n, where)
 	}
 }
 

@@ -359,24 +359,24 @@ func TestRingBasicFIFO(t *testing.T) {
 		t.Fatalf("len=%d free=%d", r.len(), r.free())
 	}
 	out := r.popN(2)
-	if len(out) != 2 || out[0].Time != 0 || out[1].Time != 1 {
+	if !slices.Equal(out.Times, []ktime.Time{0, 1}) {
 		t.Fatalf("popN order: %v", out)
 	}
-	if out[0].Deltas[0] != 0 || out[1].Deltas[0] != 10 {
+	if !slices.Equal(out.Deltas, []uint64{0, 10}) {
 		t.Fatalf("popN deltas: %v", out)
 	}
 	if !r.push(9, []uint64{90}) {
 		t.Fatal("push after drain failed")
 	}
 	rest := r.popN(100)
-	if len(rest) != 3 || rest[2].Time != 9 || rest[2].Deltas[0] != 90 {
+	if len(rest.Times) != 3 || rest.Times[2] != 9 || rest.Deltas[2] != 90 {
 		t.Fatalf("wraparound order: %v", rest)
 	}
-	if r.popN(1) != nil {
+	if b := r.popN(1); b.Times != nil || b.Deltas != nil {
 		t.Fatal("pop from empty ring returned data")
 	}
-	if r.popN(0) != nil {
-		t.Fatal("popN(0) should return nil")
+	if b := r.popN(0); b.Times != nil || b.Deltas != nil {
+		t.Fatal("popN(0) should return an empty batch")
 	}
 }
 
@@ -404,8 +404,12 @@ func TestRingPopCopiesOutOfSlab(t *testing.T) {
 	if !r.push(2, scratch) {
 		t.Fatal("second push failed")
 	}
-	if got[0].Deltas[0] != 1 || got[0].Deltas[1] != 2 {
-		t.Fatalf("popped sample mutated by slot reuse: %v", got[0].Deltas)
+	if len(got.Times) != 1 || cap(got.Times) != 1 || len(got.Deltas) != 2 || cap(got.Deltas) != 2 {
+		t.Fatalf("popN(1) of width 2 returned times len %d cap %d, deltas len %d cap %d; want exact sizes 1 and 2",
+			len(got.Times), cap(got.Times), len(got.Deltas), cap(got.Deltas))
+	}
+	if got.Deltas[0] != 1 || got.Deltas[1] != 2 {
+		t.Fatalf("popped sample mutated by slot reuse: %v", got.Deltas)
 	}
 }
 
@@ -419,8 +423,9 @@ func TestRingFIFOProperty(t *testing.T) {
 		wantNext := uint64(0)
 		for _, op := range ops {
 			if op%3 == 0 { // pop
-				for _, s := range r.popN(int(op%5) + 1) {
-					if uint64(s.Time) != wantNext || s.Deltas[0] != wantNext {
+				b := r.popN(int(op%5) + 1)
+				for i, tm := range b.Times {
+					if uint64(tm) != wantNext || b.Deltas[i] != wantNext {
 						return false
 					}
 					wantNext++
@@ -435,8 +440,9 @@ func TestRingFIFOProperty(t *testing.T) {
 				}
 			}
 		}
-		for _, s := range r.popN(r.len()) {
-			if uint64(s.Time) != wantNext || s.Deltas[0] != wantNext {
+		b := r.popN(r.len())
+		for i, tm := range b.Times {
+			if uint64(tm) != wantNext || b.Deltas[i] != wantNext {
 				return false
 			}
 			wantNext++
@@ -454,7 +460,8 @@ func TestRingFIFOProperty(t *testing.T) {
 // kernel's filesystem (the paper's design point), and at the paper's 100µs
 // period the log is byte for byte trace.WriteCSV of the collected series,
 // over a synthetic target and over the serve model, each more than a
-// thousand rows long.
+// thousand rows long. The log is read when the run ends, before Drain
+// releases the filesystem with the machine's storage.
 func TestControllerLogOnFilesystem(t *testing.T) {
 	serve := workload.NewServe()
 	serve.TotalInstr = 50_000_000
@@ -466,22 +473,24 @@ func TestControllerLogOnFilesystem(t *testing.T) {
 		{"serve", func() kernel.Program { return serve.Program(30) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			res, err := session.Run(session.Spec{
+			sess := session.New(session.Spec{
 				Profile:   quietProfile(),
 				Seed:      30,
 				NewTarget: c.target,
 				NewTool:   session.Use(New()),
 				Config:    stdConfig(100 * ktime.Microsecond),
 			})
-			if err != nil {
+			if err := sess.Drive(); err != nil {
 				t.Fatal(err)
 			}
+			m, _ := sess.Boot()
+			raw, ok := m.Kernel().FS().ReadFile(DefaultLogPath)
+			if !ok {
+				t.Fatalf("controller log %s missing; files: %v", DefaultLogPath, m.Kernel().FS().Names())
+			}
+			res := sess.Drain()
 			if n := len(res.Result.Samples); n <= 1000 {
 				t.Fatalf("%d samples; the test needs more than 1000", n)
-			}
-			raw, ok := res.Machine.Kernel().FS().ReadFile(DefaultLogPath)
-			if !ok {
-				t.Fatalf("controller log %s missing; files: %v", DefaultLogPath, res.Machine.Kernel().FS().Names())
 			}
 			var want bytes.Buffer
 			if err := trace.WriteCSV(&want, res.Result.Events, res.Result.Samples); err != nil {
@@ -503,10 +512,11 @@ func TestControllerLogOnFilesystem(t *testing.T) {
 }
 
 // TestControllerKeepsDrainBatches: the controller keeps every KLEB_READ
-// batch as the module handed it over. Samples() joins them in drain order
-// into one exact-size slice, once, after which the controller references
-// no batch but the joined one, and Tool.Collect's totals are the sums over
-// the batches.
+// reply as the module handed it over, two exact-size arrays per drain.
+// Samples() builds one exact-size header slice in drain order whose
+// Deltas are the kept delta arrays' rows, capped at the event count; after
+// it the controller references no batch, and Tool.Collect's totals are
+// the sums over the drains.
 func TestControllerKeepsDrainBatches(t *testing.T) {
 	m := machine.Boot(quietProfile(), 73)
 	script := targetScript(200_000_000)
@@ -521,47 +531,56 @@ func TestControllerKeepsDrainBatches(t *testing.T) {
 	if err := m.Kernel().Run(0); err != nil {
 		t.Fatal(err)
 	}
-	batches := append([][]monitor.Sample(nil), tool.ctl.batches...)
+	batches := slices.Clone(tool.ctl.batches)
 	if len(batches) < 3 {
 		t.Fatalf("%d drain batches; the test needs several", len(batches))
 	}
-	var want []monitor.Sample
-	sums := make([]uint64, len(cfg.Events))
-	for _, b := range batches {
-		want = append(want, b...)
-		for _, s := range b {
-			for i := range sums {
-				sums[i] += s.Deltas[i]
-			}
+	w := len(cfg.Events)
+	n := 0
+	sums := make([]uint64, w)
+	for d, b := range batches {
+		if len(b.Times) == 0 || cap(b.Times) != len(b.Times) || len(b.Deltas) != w*len(b.Times) || cap(b.Deltas) != len(b.Deltas) {
+			t.Fatalf("drain %d: times len %d cap %d, deltas len %d cap %d; want exact sizes n and %d·n",
+				d, len(b.Times), cap(b.Times), len(b.Deltas), cap(b.Deltas), w)
+		}
+		n += len(b.Times)
+		for i, v := range b.Deltas {
+			sums[i%w] += v
 		}
 	}
 	got := tool.ctl.Samples()
-	if len(got) != len(want) || cap(got) != len(got) {
-		t.Fatalf("Samples() has len %d cap %d, want len = cap = %d", len(got), cap(got), len(want))
+	if len(got) != n || cap(got) != n {
+		t.Fatalf("Samples() has len %d cap %d, want len = cap = %d", len(got), cap(got), n)
 	}
-	for i := range got {
-		if got[i].Time != want[i].Time || !slices.Equal(got[i].Deltas, want[i].Deltas) {
-			t.Fatalf("sample %d = %v, batch order gives %v", i, got[i], want[i])
-		}
-		if i > 0 && got[i].Time <= got[i-1].Time {
-			t.Fatalf("sample %d at %v does not follow %v: batches out of drain order", i, got[i].Time, got[i-1].Time)
+	i := 0
+	for d, b := range batches {
+		for j, tm := range b.Times {
+			s, row := got[i], b.Deltas[j*w:(j+1)*w]
+			if s.Time != tm || !slices.Equal(s.Deltas, row) {
+				t.Fatalf("sample %d = %v, drain %d row %d holds %v %v", i, s, d, j, tm, row)
+			}
+			if cap(s.Deltas) != w || &s.Deltas[0] != &row[0] {
+				t.Fatalf("sample %d's deltas are not drain %d's row capped at %d events (cap %d)", i, d, w, cap(s.Deltas))
+			}
+			if i > 0 && s.Time <= got[i-1].Time {
+				t.Fatalf("sample %d at %v does not follow %v: batches out of drain order", i, s.Time, got[i-1].Time)
+			}
+			i++
 		}
 	}
 	if again := tool.ctl.Samples(); &again[0] != &got[0] {
-		t.Error("a second Samples() call joined the batches again")
+		t.Error("a second Samples() call built the headers again")
 	}
-	for i, b := range tool.ctl.batches[1:cap(tool.ctl.batches)] {
-		if b != nil {
-			t.Fatalf("joined batch %d is still referenced by the controller", i+1)
-		}
+	if tool.ctl.batches != nil {
+		t.Errorf("the controller still references %d batches after Samples()", len(tool.ctl.batches))
 	}
-	if tool.ctl.pending != nil {
+	if tool.ctl.pending.Times != nil || tool.ctl.pending.Deltas != nil {
 		t.Error("the last batch is still referenced as pending after it was logged")
 	}
 	res := tool.Collect()
 	for i, ev := range cfg.Events {
 		if res.Totals[ev] != sums[i] {
-			t.Errorf("%v total %d, per-batch sums give %d", ev, res.Totals[ev], sums[i])
+			t.Errorf("%v total %d, per-drain sums give %d", ev, res.Totals[ev], sums[i])
 		}
 	}
 	if got := res.Totals[isa.EvInstructions]; got != script.TotalInstr() {
@@ -598,8 +617,10 @@ func (c *stoppingController) Next(k *kernel.Kernel, p *kernel.Process) kernel.Op
 		c.stage = 5
 		return ioctlOp("KLEB_READ", CmdRead, ReadRequest{Max: ReadMax})
 	case 5:
-		if got, ok := p.SyscallResult.([]monitor.Sample); ok {
-			c.Samples = got
+		if got, ok := p.SyscallResult.(Batch); ok {
+			for i := range got.Times {
+				c.Samples = append(c.Samples, got.Sample(i))
+			}
 		}
 		return kernel.OpExit{}
 	}

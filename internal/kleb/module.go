@@ -86,6 +86,21 @@ type ReadRequest struct {
 	Max int
 }
 
+// Batch is the CmdRead reply: the drained samples in capture order, as two
+// exact-size arrays. Sample i was captured at Times[i]; its deltas, one per
+// configured event, are Deltas[i*w:(i+1)*w] with w = len(Deltas)/len(Times).
+type Batch struct {
+	Times  []ktime.Time
+	Deltas []uint64
+}
+
+// Sample returns sample i of b. Its Deltas alias b.Deltas, capped at the
+// sample's own width, so appending to them cannot reach the next sample.
+func (b Batch) Sample(i int) monitor.Sample {
+	w := len(b.Deltas) / len(b.Times)
+	return monitor.Sample{Time: b.Times[i], Deltas: b.Deltas[i*w : (i+1)*w : (i+1)*w]}
+}
+
 // Module is the K-LEB kernel module.
 //
 //klebvet:ledger fires = captured + dropped + lostFault
@@ -584,9 +599,9 @@ func (m *Module) finalFlush() {
 
 // read drains up to max samples (CmdRead). Copying to user space costs
 // CopyPerSample each. Draining below half capacity lifts a safety pause.
-func (m *Module) read(max int) []monitor.Sample {
+func (m *Module) read(max int) Batch {
 	if m.buf == nil {
-		return nil
+		return Batch{}
 	}
 	if max <= 0 {
 		max = m.buf.len()
@@ -596,11 +611,11 @@ func (m *Module) read(max int) []monitor.Sample {
 		// buffer copy raced collection. The samples stay buffered; only
 		// this drain's yield is lost.
 		m.k.Telemetry().FaultInjected(m.k.Now(), fault.KindDrainStarve)
-		return nil
+		return Batch{}
 	}
 	out := m.buf.popN(max)
-	m.k.ChargeKernel(ktime.Duration(len(out)) * m.copyCost)
-	m.k.Telemetry().BufferDrain(m.k.Now(), len(out), m.buf.len())
+	m.k.ChargeKernel(ktime.Duration(len(out.Times)) * m.copyCost)
+	m.k.Telemetry().BufferDrain(m.k.Now(), len(out.Times), m.buf.len())
 	if m.paused && m.buf.free() >= m.buf.capacity()/2 {
 		m.paused = false
 		// If a tracked process is running right now, resume immediately;

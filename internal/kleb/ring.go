@@ -19,10 +19,10 @@ import (
 // at most ⌈log2(capacity/ringFirstSlots)⌉ doublings per configure. Outside
 // growth the interrupt handler allocates nothing: push copies into the
 // slot's slab segment, and only popN — the controller's cold syscall path —
-// allocates, because drained samples outlive the slot they came from. The
-// controller keeps each batch as popN returns it, so a drained sample is
-// copied once more only when Tool.Collect joins the batches
-// (Controller.Samples).
+// allocates, because drained samples outlive the slot they came from. popN
+// copies a drain into a Batch of two exact-size arrays, times and deltas,
+// and that copy is the only one a run keeps: the controller renders its log
+// rows from the batch, and Controller.Samples adds only the headers.
 type ring struct {
 	buf   []monitor.Sample // allocated slots, len(buf) <= capacity
 	width int              // deltas per slot
@@ -93,32 +93,28 @@ func (r *ring) grow() {
 	r.buf, r.head = buf, 0
 }
 
-// popN removes and returns up to n samples in FIFO order. The returned
-// samples own fresh delta storage (one batched allocation), so they stay
-// valid after the slots are reused.
-func (r *ring) popN(n int) []monitor.Sample {
+// popN removes up to n samples in FIFO order and returns them as one Batch
+// of exact-size arrays, width deltas per sample; a slot holding fewer
+// deltas reads 0 in the rest. The batch owns its storage, so it stays valid
+// after the slots are reused.
+func (r *ring) popN(n int) Batch {
 	if n > r.count {
 		n = r.count
 	}
 	if n <= 0 {
-		return nil
+		return Batch{}
 	}
-	total := 0
-	for i := 0; i < n; i++ {
-		total += len(r.buf[(r.head+i)%len(r.buf)].Deltas)
-	}
-	out := make([]monitor.Sample, n)
-	flat := make([]uint64, 0, total)
-	for i := 0; i < n; i++ {
+	w := r.width
+	b := Batch{Times: make([]ktime.Time, n), Deltas: make([]uint64, n*w)}
+	for i := range b.Times {
 		s := &r.buf[(r.head+i)%len(r.buf)]
-		start := len(flat)
-		flat = append(flat, s.Deltas...)
-		out[i] = monitor.Sample{Time: s.Time, Deltas: flat[start:len(flat):len(flat)]}
+		b.Times[i] = s.Time
+		copy(b.Deltas[i*w:(i+1)*w], s.Deltas)
 		s.Deltas = s.Deltas[:0] // slot keeps its slab segment for reuse
 	}
 	r.head = (r.head + n) % len(r.buf)
 	r.count -= n
-	return out
+	return b
 }
 
 // len returns the number of buffered samples.

@@ -121,8 +121,13 @@ func (m *Machine) Core() *cpu.Core { return m.core }
 // Kernel returns the operating system kernel.
 func (m *Machine) Kernel() *kernel.Kernel { return m.kern }
 
-// Release hands the machine's cache storage back for reuse by later boots
-// of the same geometry (see cache.Cache.Release). Call it once nothing
-// will run on or inspect the machine's caches again. A cluster core's
-// Release leaves the shared LLC alone; Cluster.Release releases that.
-func (m *Machine) Release() { m.core.Caches().Release() }
+// Release ends the machine's storage with its run: it hands the cache
+// arrays back for reuse by later boots of the same geometry (see
+// cache.Cache.Release), then drops the simulated filesystem's files (see
+// kernel.FS.Release). Call it once nothing will run on the machine or
+// read its caches or files again. A cluster core's Release leaves the
+// shared LLC alone; Cluster.Release releases that.
+func (m *Machine) Release() {
+	m.core.Caches().Release()
+	m.kern.FS().Release()
+}

@@ -27,10 +27,23 @@ func mustPanicOnAccess(t *testing.T, name string, c *cache.Cache) {
 	c.Access(0)
 }
 
-// TestDrainReleasesStorage: Drain hands the machine's cache storage back,
-// yet the Result still serves what callers read after a run — the kernel,
-// its clock and filesystem, the caches' Stats and Gen — and a second run
-// of the same spec on this goroutine, booting into the recycled arrays,
+// mustPanicOnRead checks that fs was released: reading a released
+// filesystem panics instead of finding no file.
+func mustPanicOnRead(t *testing.T, fs *kernel.FS) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Error("ReadFile after Drain did not panic; the filesystem was not released")
+		}
+	}()
+	fs.ReadFile(kleb.DefaultLogPath)
+}
+
+// TestDrainReleasesStorage: Drain hands the machine's cache storage back
+// and drops its filesystem's files, which the run wrote and could read
+// until then, yet the Result still serves what callers read after a run —
+// the kernel, its clock, the caches' Stats and Gen — and a second run of
+// the same spec on this goroutine, booting into the recycled arrays,
 // replays the first exactly.
 func TestDrainReleasesStorage(t *testing.T) {
 	spec := session.Spec{
@@ -43,17 +56,20 @@ func TestDrainReleasesStorage(t *testing.T) {
 			Period: ktime.Millisecond,
 		},
 	}
-	first, err := session.Run(spec)
-	if err != nil {
+	sess := session.New(spec)
+	if err := sess.Drive(); err != nil {
 		t.Fatal(err)
 	}
+	m, _ := sess.Boot()
+	if log, ok := m.Kernel().FS().ReadFile(kleb.DefaultLogPath); !ok || len(log) == 0 {
+		t.Errorf("controller log unreadable between Drive and Drain (present %v, %d bytes)", ok, len(log))
+	}
+	first := sess.Drain()
 	k := first.Machine.Kernel()
 	if k.Now() < ktime.Time(first.Elapsed) {
 		t.Errorf("kernel clock %v is before the target's lifetime %v ended", k.Now(), first.Elapsed)
 	}
-	if log, ok := k.FS().ReadFile(kleb.DefaultLogPath); !ok || len(log) == 0 {
-		t.Errorf("controller log unreadable after the run (present %v, %d bytes)", ok, len(log))
-	}
+	mustPanicOnRead(t, k.FS())
 	caches := first.Machine.Core().Caches()
 	llc := caches.LLC()
 	stats, gen := llc.Stats(), llc.Gen()

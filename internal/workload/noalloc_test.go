@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"kleb/internal/allocs"
 	"kleb/internal/ktime"
 	"kleb/internal/machine"
 )
@@ -38,16 +39,16 @@ func TestScriptProgramStepNoAlloc(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		step()
 	}
-	// AllocsPerRun truncates its per-run mean to an integer, so the whole
-	// window is one run: a single allocation in it fails.
+	// The window runs once and a single allocation the program makes in it
+	// fails; the Go runtime's own allocations do not count (allocs.Count).
 	const steps = 10
 	window := func() {
 		for i := 0; i < steps; i++ {
 			step()
 		}
 	}
-	if n := testing.AllocsPerRun(1, window); n != 0 {
-		t.Errorf("%d RunUntil steps allocate %v times in total, want 0", steps, n)
+	if n, where := allocs.Count(window); n != 0 {
+		t.Errorf("%d RunUntil steps allocate %d times in total, want 0:\n%s", steps, n, where)
 	}
 	if k.Idle() {
 		t.Fatal("the scripts finished inside the window; the window measured nothing")
@@ -55,8 +56,10 @@ func TestScriptProgramStepNoAlloc(t *testing.T) {
 }
 
 // TestServeAdmitAllocatesThree pins what admitting a serve request
-// allocates: the request and one backing slice each for its clone demands
-// and its replica permutations, however many tiers the model has.
+// allocates: a fresh request is the struct and one backing slice each for
+// its clone demands and its replica permutations, however many tiers the
+// model has; a request admitted after others completed reuses one of
+// them and allocates nothing.
 func TestServeAdmitAllocatesThree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
@@ -72,14 +75,20 @@ func TestServeAdmitAllocatesThree(t *testing.T) {
 			s.tiers[i].replicas[r].jobs = make([]psJob, 0, 4*n)
 		}
 	}
-	// AllocsPerRun truncates its per-run mean to an integer, so the n
-	// admissions are one run.
 	admit := func() {
 		for i := 0; i < n; i++ {
-			s.admit(ktime.Time(i))
+			s.admit(s.lastCk)
 		}
 	}
-	if got := testing.AllocsPerRun(1, admit); got != 3*n {
-		t.Errorf("%d admissions allocate %v times, want %d", n, got, 3*n)
+	if got, where := allocs.Count(admit); got != 3*n {
+		t.Errorf("%d fresh admissions allocate %d times, want %d:\n%s", n, got, 3*n, where)
+	}
+	// One window at ample capacity completes every admitted request.
+	s.window(s.lastCk.Add(ktime.Second), 1<<40)
+	if s.inflight != 0 || s.stats.Completed != n {
+		t.Fatalf("%d requests in flight and %d completed after the window; want 0 and %d", s.inflight, s.stats.Completed, n)
+	}
+	if got, where := allocs.Count(admit); got != 0 {
+		t.Errorf("%d admissions after %d completions allocate %d times, want 0:\n%s", n, n, got, where)
 	}
 }

@@ -307,6 +307,8 @@ type request struct {
 	// clones run on the first clones() replicas of its permutation.
 	demands    []float64
 	placements []int
+	// next links the free list while the request is completed.
+	next *request
 }
 
 // serveSim is the queueing simulation, advanced in capacity windows.
@@ -330,6 +332,10 @@ type serveSim struct {
 	plN      int // length of a request's placements: replicas over all tiers
 	inflight int
 	nextID   uint64
+	// free lists completed requests, most recent first: no job refers to
+	// a request once its last tier completes, so admit reuses its struct
+	// and slices, whose lengths (demN, plN) every request shares.
+	free *request
 
 	stats ServeStats
 }
@@ -499,6 +505,7 @@ func (s *serveSim) complete(ti, ri, ji int, now ktime.Time) {
 	s.stats.Latency.Observe(uint64(now.Sub(req.arrival)))
 	s.stats.Completed++
 	s.inflight--
+	req.next, s.free = s.free, req
 	if s.closed() {
 		s.thinking++
 		if !s.haveArr {
@@ -524,15 +531,17 @@ func (s *serveSim) arrive(now ktime.Time) {
 	s.scheduleArrival(now)
 }
 
-// admit creates the request, draws all of its randomness into its two
-// backing slices, and dispatches it to the first tier.
+// admit creates the request, or reuses a completed one, draws all of its
+// randomness into its two backing slices, and dispatches it to the first
+// tier. The draws overwrite every element of both slices.
 func (s *serveSim) admit(now ktime.Time) {
-	req := &request{
-		id:         s.nextID,
-		arrival:    now,
-		demands:    make([]float64, s.demN),
-		placements: make([]int, s.plN),
+	req := s.free
+	if req == nil {
+		req = &request{demands: make([]float64, s.demN), placements: make([]int, s.plN)}
+	} else {
+		s.free = req.next
 	}
+	*req = request{id: s.nextID, arrival: now, demands: req.demands, placements: req.placements}
 	s.nextID++
 	s.reqRng.Reseed(s.seed + (req.id+1)*0x6c62272e07bb0142)
 	for i := range s.tiers {

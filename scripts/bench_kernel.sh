@@ -7,8 +7,12 @@
 #                            HEAD^; in CI's pull_request checkout that is
 #                            the base branch tip):
 #     1. allocation  the zero-allocation tests (-run NoAlloc) of the kernel,
-#                    the K-LEB module and the compiled workload stream pass
-#                    without -race, which they skip under;
+#                    the K-LEB module and the compiled workload stream, and
+#                    the serve model's admission count (a recycled request
+#                    allocates nothing), pass 100 times each without -race,
+#                    which they skip under: each counts the program's
+#                    allocations in its window (internal/allocs), so a
+#                    flaky gate shows here;
 #     2. paired      BASE is checked out under .bench_build/ (checkout in
 #                    bench_lib.sh), both sides' test binaries are built,
 #                    and each package's benchmarks run in PAIRS pairs,
@@ -139,8 +143,8 @@ base=$(git rev-parse --verify --quiet "${1:-HEAD^}^{commit}") || {
     exit 2
 }
 
-echo "==> allocation tests (NoAlloc, without -race)"
-go test -count=1 -run NoAlloc ./internal/kernel ./internal/kleb ./internal/workload
+echo "==> allocation tests (NoAlloc and ServeAdmit, 100 runs each, without -race)"
+go test -count=100 -run 'NoAlloc|ServeAdmit' ./internal/kernel ./internal/kleb ./internal/workload
 
 echo "==> building test binaries: BASE $(git rev-parse --short "$base") and the working tree"
 checkout "$base" "$build/base"
